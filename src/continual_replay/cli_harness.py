@@ -7,7 +7,8 @@ sit next to their analytic counterparts with an absolute-deviation column.
 Wallclock goes to stderr only, so reruns with the same seed are
 bit-identical on disk.
 
-Exit codes: 0 success, 2 configuration error, 3 assertion failure.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3 failed
+consistency check or other library error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigurationError,
+    ConsistencyFailure,
     ConstraintViolation,
+    ContinualReplayError,
     InvalidParameters,
     NotConverged,
 )
@@ -125,6 +128,12 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _require(ok: bool, message: str) -> None:
+    # An explicit raise, unlike assert, survives python -O.
+    if not ok:
+        raise ConsistencyFailure(message)
+
+
 def _span_loss(s1: Subspace, w: np.ndarray, w_star: np.ndarray) -> float:
     # E_x[(x.(w - w*))^2] over the task's sampling law = ||Pi_1 (w - w*)||^2
     return float(np.sum((s1.basis.T @ (w - w_star)) ** 2))
@@ -159,7 +168,7 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     mixed second-task row, and the run replaying the repeated row, next to
     two analytic references: the stated closed forms 3a^2/(28(T-1)) and
     9a^2/196, and an independent projector-cascade value computed from the
-    task spans alone. The command asserts against the cascade (and the
+    task spans alone. The command checks against the cascade (and the
     stated no-replay form, which matches it); the stated replay constant is
     emitted with its deviation column so the discrepancy stays visible.
     """
@@ -188,11 +197,11 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     proj_x1 = _projector_train_forgetting(seq, final_extra=seq.tasks[x1_pair[0]].X[0])
     drift_x1 = float(np.linalg.norm(w_x1 - w_plain))
 
-    assert abs(f_plain - stated_no) <= tol, f"no-replay forgetting off: {f_plain}"
-    assert abs(f_plain - proj_no) <= tol, "learner vs projector cascade (no replay)"
-    assert abs(f_x2 - proj_x2) <= tol, "learner vs projector cascade (replay x2)"
-    assert abs(f_x1 - proj_x1) <= tol, "learner vs projector cascade (replay x1)"
-    assert drift_x1 <= tol, f"replaying the repeated row moved w_T by {drift_x1}"
+    _require(abs(f_plain - stated_no) <= tol, f"no-replay forgetting off: {f_plain}")
+    _require(abs(f_plain - proj_no) <= tol, "learner vs projector cascade (no replay)")
+    _require(abs(f_x2 - proj_x2) <= tol, "learner vs projector cascade (replay x2)")
+    _require(abs(f_x1 - proj_x1) <= tol, "learner vs projector cascade (replay x1)")
+    _require(drift_x1 <= tol, f"replaying the repeated row moved w_T by {drift_x1}")
 
     rows = []
     for variant, f, stated, proj, drift in (
@@ -291,9 +300,9 @@ def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
     w_star = info["u_perp"]
     base = epsilon**2 * (1.0 - epsilon**2)  # a = 1 for the default w*
     exact = expected_forgetting_closed_form([s1, s2], w_star)
+    _require(abs(exact - base) <= 1e-12, "construction no longer matches its closed form")
     rng = _stream(seed, "avg-case-highdim")
     res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
-    assert abs(exact - base) <= 1e-12, "construction no longer matches its closed form"
     row = {
         "case": "avg_case_highdim",
         "d": d,
@@ -448,8 +457,9 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         )
     step = float(thetas[1] - thetas[0])
     argmax_theta = float(thetas[int(np.argmax([r["empirical_forgetting"] for r in rows]))])
-    assert abs(argmax_theta - math.pi / 4.0) <= step + 1e-12, (
-        f"peak at {argmax_theta}, expected pi/4 within one grid step"
+    _require(
+        abs(argmax_theta - math.pi / 4.0) <= step + 1e-12,
+        f"peak at {argmax_theta}, expected pi/4 within one grid step",
     )
     analytic = {
         "argmax_theta": argmax_theta,
@@ -515,7 +525,7 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
                 "seed": seed,
             }
         )
-    assert violations_total == 0, f"{violations_total} certified pairs gained forgetting"
+    _require(violations_total == 0, f"{violations_total} certified pairs gained forgetting")
     analytic = {
         "certificate_threshold": math.sqrt(2.0) / 2.0,
         "certified_pairs": certified_count,
@@ -569,7 +579,7 @@ def cmd_oracles(cfg: ExperimentConfig) -> ExperimentResult:
         }
         for v in verdicts
     ]
-    assert all(v.passed for v in verdicts), "an oracle check failed"
+    _require(all(v.passed for v in verdicts), "an oracle check failed")
     analytic = {"verdicts": len(rows)}
     return ExperimentResult(cfg, tuple(rows[0]), rows, analytic, 0.0)
 
@@ -630,7 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="continual-replay",
         description="Replay experiments for over-parameterized continual linear regression.",
-        epilog="Exit codes: 0 success, 2 configuration error, 3 assertion failure.",
+        epilog=(
+            "Exit codes: 0 success, 2 configuration error or unwritable output, "
+            "3 failed consistency check or other library error."
+        ),
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -754,17 +767,22 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         result = _HANDLERS[cfg.command](cfg)
         result.wallclock = time.perf_counter() - t0
-        _emit(result, args.out)
-        print(
-            f"[{cfg.command}] wallclock {result.wallclock:.3f}s", file=sys.stderr
-        )
-        return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except ConsistencyFailure as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 3
+    except ContinualReplayError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    try:
+        _emit(result, args.out)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
+    print(f"[{cfg.command}] wallclock {result.wallclock:.3f}s", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

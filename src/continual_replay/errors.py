@@ -2,7 +2,8 @@
 
 Every error raised by the library is a subclass of ContinualReplayError, so
 callers can catch one base class. The CLI maps ConfigurationError subclasses
-to exit code 2 and internal consistency failures to exit code 3.
+to exit code 2 and every other library error, ConsistencyFailure included,
+to exit code 3.
 """
 
 
@@ -12,6 +13,10 @@ class ContinualReplayError(Exception):
 
 class ConfigurationError(ContinualReplayError):
     """Base class for invalid-parameter errors (CLI exit code 2)."""
+
+
+class ConsistencyFailure(ContinualReplayError):
+    """Two routes to the same quantity disagree, or a construction broke its promise."""
 
 
 class NonFiniteInput(ContinualReplayError):

@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    ConsistencyFailure,
     DegenerateWStar,
     DimensionMismatch,
     InconsistentSystem,
@@ -381,8 +382,8 @@ def make_avg_case_highdim(
     cols = [u] + [np.eye(d)[:, j] for j in [0] + list(range(2, d - 1))]
     s1 = Subspace(np.column_stack(cols))
     s2 = Subspace(np.eye(d)[:, d - 1 : d])
-    # The construction promises u_perp spans task 1's null space.
-    assert np.max(np.abs(s1.basis.T @ u_perp)) < 1e-10
+    if not np.max(np.abs(s1.basis.T @ u_perp)) < 1e-10:
+        raise ConsistencyFailure("u_perp no longer spans task 1's null space")
     a = float(u_perp @ w_star)
     return s1, s2, {"u_perp": u_perp, "a": a}
 

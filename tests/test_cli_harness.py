@@ -1,12 +1,16 @@
+import ast
 import csv
 import filecmp
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import continual_replay
 from continual_replay import cli_harness
 from continual_replay.cli_harness import main
+from continual_replay.errors import ConsistencyFailure, NotConverged
 
 
 def _read_csv(path):
@@ -61,11 +65,48 @@ def test_configuration_errors_exit_2(argv, capsys):
 
 def test_internal_assertion_exits_3(monkeypatch, capsys):
     def boom(cfg):
-        raise AssertionError("forced")
+        raise ConsistencyFailure("forced")
 
     monkeypatch.setitem(cli_harness._HANDLERS, "worst-case", boom)
     assert main(["worst-case"]) == 3
     assert "assertion failed: forced" in capsys.readouterr().err
+
+
+def test_other_library_errors_exit_3(monkeypatch, capsys):
+    def boom(cfg):
+        raise NotConverged("forced")
+
+    monkeypatch.setitem(cli_harness._HANDLERS, "worst-case", boom)
+    assert main(["worst-case"]) == 3
+    err = capsys.readouterr().err
+    assert "NotConverged: forced" in err
+    assert "Traceback" not in err
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no gate may rely on one
+    package = Path(continual_replay.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_highdim_closed_form_gate_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli_harness, "expected_forgetting_closed_form", lambda *a: 1.0)
+    assert main(["avg-case-highdim", "--trials", "10"]) == 3
+    assert "closed form" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["worst-case", "--T", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err
+    assert "Traceback" not in err
 
 
 def test_reruns_are_bit_identical(tmp_path):

@@ -7,6 +7,7 @@ from continual_replay.errors import InvalidParameters, TooFewTasks
 from continual_replay.learner import Fixed, run_sequence
 from continual_replay.linalg_core import Subspace, orthonormal_basis
 from continual_replay.metrics import (
+    _REPLAY_CHUNK,
     CSV_HEADER,
     ForgettingReport,
     benign_replay_certificate,
@@ -174,6 +175,58 @@ def test_replay_expectation_matches_claim_statistic():
     ratio_se = res["std_err"] / base
     mean, se = claim_c2_statistics(trials, 4)
     assert abs(ratio - mean) <= 3.0 * math.hypot(ratio_se, se)
+
+
+def _replay_forgetting_reference(s1, s2, w_star, m, trials, rng):
+    # the per-trial loop the chunked kernel replaced: one SVD per trial
+    W1 = s1.basis
+    q = w_star - W1 @ (W1.T @ w_star)
+    values = np.zeros(trials)
+    for i in range(trials):
+        Z = rng.standard_normal((m, s1.rank)) / math.sqrt(s1.rank)
+        stacked = np.vstack([s2.basis.T, Z @ W1.T])
+        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+        B = vh[: int(np.sum(svals > 1e-10 * svals[0]))]
+        p = q - B.T @ (B @ q)
+        values[i] = float(np.sum((W1.T @ p) ** 2))
+    std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(values.mean()), std_err
+
+
+def _replay_case(name):
+    if name == "3d":
+        s1, s2, info = make_avg_case_3d()
+        return s1, s2, info["p1"]
+    s1, s2, info = make_avg_case_highdim(152, 0.4)
+    return s1, s2, info["u_perp"]
+
+
+@pytest.mark.parametrize(
+    "case,m,trials",
+    [
+        ("3d", 1, 3000),
+        ("highdim", 10, 600),
+        ("3d", 1, 1),
+        ("3d", 1, _REPLAY_CHUNK - 1),
+        ("3d", 1, _REPLAY_CHUNK),
+        ("3d", 1, _REPLAY_CHUNK + 1),
+        ("3d", 2, _REPLAY_CHUNK + 1),  # m = rank: replay spans task 1
+        ("3d", 5, 300),  # k2 + m > d: the stack has more rows than vh
+    ],
+)
+def test_chunked_replay_kernel_matches_per_trial_loop(case, m, trials):
+    s1, s2, w_star = _replay_case(case)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
+    ref_mean, ref_se = _replay_forgetting_reference(s1, s2, w_star, m, trials, ref_rng)
+    assert res["trials"] == trials
+    if m >= s1.rank:
+        assert res["mean"] <= 1e-20 and ref_mean <= 1e-20
+    else:
+        assert res["mean"] == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
+        assert res["std_err"] == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+    # same draws in the same order: downstream streams are unchanged
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_replay_expectation_validates():
