@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -53,7 +54,6 @@ from .metrics import (
     replay_null_projector,
 )
 from .oracle import (
-    CSV_HEADER as ORACLE_CSV_HEADER,
     OracleVerdict,
     oracle_claim_c2,
     oracle_min_norm,
@@ -74,16 +74,6 @@ from .task_gen import (
 # Thm 3.3 regime constants; validated before the high-dimensional command runs.
 C1, C2, C3 = 120, 15, 97
 
-_COMMAND_IDS = {
-    "worst-case": 0,
-    "avg-case-3d": 1,
-    "avg-case-highdim": 2,
-    "replay-sweep": 3,
-    "angle-sweep": 4,
-    "benign-check": 5,
-    "oracles": 6,
-}
-
 # The sweep's GD lane tries a 1e-5 residual first; replay-augmented tasks
 # can be arbitrarily ill-conditioned in tail draws, where gradient descent
 # cannot resolve the near-singular constraint direction in any fixed epoch
@@ -102,16 +92,10 @@ class ExperimentConfig:
     command: str
     params: dict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"command": self.command, "params": self.params}, sort_keys=True, indent=2
-        )
-
 
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    columns: tuple[str, ...]
     rows: list[dict]
     analytic_predictions: dict
     wallclock: float
@@ -119,7 +103,7 @@ class ExperimentResult:
 
 def _stream(seed: int, command: str, *extra: int) -> np.random.Generator:
     # Sub-streams are derived from (seed, command id, trial index).
-    return np.random.default_rng([seed, _COMMAND_IDS[command], *extra])
+    return np.random.default_rng([seed, _COMMANDS[command].stream, *extra])
 
 
 def _check_seed(seed: int) -> int:
@@ -224,7 +208,6 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
                 "seed": seed,
             }
         )
-    columns = tuple(rows[0])
     analytic = {
         "a_sq": a_sq,
         "stated_no_replay": stated_no,
@@ -232,7 +215,7 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
         "projector_no_replay": proj_no,
         "projector_replay_x2": proj_x2,
     }
-    return ExperimentResult(cfg, columns, rows, analytic, 0.0)
+    return ExperimentResult(cfg, rows, analytic, 0.0)
 
 
 def _two_task_case(d: int, epsilon: float | None):
@@ -276,7 +259,7 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
         "seed": seed,
     }
     analytic = {"no_replay": base, "ratio_lower_bound": 1.4}
-    return ExperimentResult(cfg, tuple(row), [row], analytic, 0.0)
+    return ExperimentResult(cfg, [row], analytic, 0.0)
 
 
 def _check_highdim_constraints(d: int, m: int) -> None:
@@ -284,7 +267,8 @@ def _check_highdim_constraints(d: int, m: int) -> None:
         raise ConstraintViolation(f"requires c1 < d: {C1} >= {d}")
     if not C2 * m < d - 1:
         raise ConstraintViolation(f"requires c2*m < d-1: {C2 * m} >= {d - 1}")
-    if not (d - 1) < math.exp(m * math.log(m)) / C3:
+    # Compared in log space: exp(m ln m) overflows a float from m = 144 on.
+    if not math.log(d - 1) + math.log(C3) < m * math.log(m):
         raise ConstraintViolation(
             f"requires d-1 < exp(m ln m)/c3: {d - 1} >= {math.exp(m * math.log(m)) / C3}"
         )
@@ -318,7 +302,7 @@ def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
         "seed": seed,
     }
     analytic = {"no_replay": base}
-    return ExperimentResult(cfg, tuple(row), [row], analytic, 0.0)
+    return ExperimentResult(cfg, [row], analytic, 0.0)
 
 
 def _fit_gd_ladder(w_prev: np.ndarray, task: Task) -> np.ndarray:
@@ -418,7 +402,7 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                 }
             )
     analytic = {"no_replay": base, "full_span_replay": 0.0}
-    return ExperimentResult(cfg, tuple(rows[0]), rows, analytic, 0.0)
+    return ExperimentResult(cfg, rows, analytic, 0.0)
 
 
 def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
@@ -433,6 +417,8 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     d, solver, seed, grid_points = p["d"], p["solver"], p["seed"], p["grid_points"]
     if grid_points < 3:
         raise InvalidParameters("angle sweep needs at least 3 grid points")
+    if d < 2:
+        raise InvalidParameters(f"angle sweep needs d >= 2, got {d}")
     thetas = np.linspace(0.0, math.pi / 2.0, grid_points)
     w_star = np.eye(d)[:, 0]  # equals the first null direction a1
     rows = []
@@ -466,7 +452,7 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         "grid_step": step,
         "peak_value": 0.25,
     }
-    return ExperimentResult(cfg, tuple(rows[0]), rows, analytic, 0.0)
+    return ExperimentResult(cfg, rows, analytic, 0.0)
 
 
 def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
@@ -531,15 +517,13 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
         "certified_pairs": certified_count,
         "violations": violations_total,
     }
-    return ExperimentResult(cfg, tuple(rows[0]), rows, analytic, 0.0)
+    return ExperimentResult(cfg, rows, analytic, 0.0)
 
 
 def cmd_oracles(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every oracle and emit one verdict row per check."""
     p = cfg.params
     trials, seed = p["trials"], p["seed"]
-    if trials is None:
-        trials = 10**5
     if trials < 10**4:
         raise InvalidParameters("oracle runs need trials >= 10^4")
     rng = _stream(seed, "oracles")
@@ -581,49 +565,10 @@ def cmd_oracles(cfg: ExperimentConfig) -> ExperimentResult:
     ]
     _require(all(v.passed for v in verdicts), "an oracle check failed")
     analytic = {"verdicts": len(rows)}
-    return ExperimentResult(cfg, tuple(rows[0]), rows, analytic, 0.0)
+    return ExperimentResult(cfg, rows, analytic, 0.0)
 
 
 # ------------------------------------------------------------------ plumbing
-
-
-_COLUMN_DOCS = {
-    "worst-case": (
-        "variant,T,d,solver,forgetting,analytic_stated,abs_dev_stated,"
-        "analytic_projector,abs_dev_projector,final_iterate_drift,seed"
-    ),
-    "avg-case-3d": (
-        "case,epsilon,m,trials,replay_mean,replay_std_err,no_replay_analytic,"
-        "ratio,ratio_std_err,bound,abs_dev_bound,meets_bound_3sigma,"
-        "exceeds_one_3sigma,seed"
-    ),
-    "avg-case-highdim": (
-        "case,d,m,epsilon,trials,replay_mean,replay_std_err,no_replay_analytic,"
-        "mean_minus_3se,abs_dev_no_replay,exceeds_no_replay_3sigma,seed"
-    ),
-    "replay-sweep": (
-        "case,solver,m,trials,epsilon,mean_forgetting,std_err,analytic_value,"
-        "abs_dev_analytic,no_replay_analytic,max_fit_residual,seed"
-    ),
-    "angle-sweep": (
-        "theta,empirical_forgetting,analytic_forgetting,abs_dev,solver,seed"
-    ),
-    "benign-check": (
-        "pair,d,rank1,rank2,op_norm,certified,base_trace,worst_replay_gain,"
-        "subsets_checked,violations,seed"
-    ),
-    "oracles": ORACLE_CSV_HEADER,
-}
-
-_HANDLERS = {
-    "worst-case": cmd_worst_case,
-    "avg-case-3d": cmd_avg_case_3d,
-    "avg-case-highdim": cmd_avg_case_highdim,
-    "replay-sweep": cmd_replay_sweep,
-    "angle-sweep": cmd_angle_sweep,
-    "benign-check": cmd_benign_check,
-    "oracles": cmd_oracles,
-}
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -634,6 +579,108 @@ def _parse_m_list(text: str) -> list[int]:
     if any(v < 0 for v in values):
         raise InvalidParameters("replay sizes must be non-negative")
     return values
+
+
+# Every flag a subcommand may read: params key -> (option, argparse keywords).
+# Each command also takes --seed and --out.
+_FLAGS = {
+    "T": ("--T", {"type": int}),
+    "d": ("--d", {"type": int}),
+    "epsilon": ("--epsilon", {"type": float}),
+    "m": ("--m", {"help": "replay size"}),
+    "m_list": ("--m", {"help": "replay sizes, comma separated"}),
+    "trials": ("--trials", {"type": int}),
+    "solver": (
+        "--solver",
+        {
+            "choices": ("closed", "gd"),
+            "help": "closed-form minimum-norm updates or gradient descent",
+        },
+    ),
+    "grid_points": ("--grid-points", {"type": int, "help": "grid resolution on [0, pi/2]"}),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: what the parser, the random streams and the CSV need."""
+
+    stream: int  # part of every random stream's seed, so never renumbered
+    handler: str  # name of the cmd_* function, looked up when the command runs
+    help: str
+    columns: tuple[str, ...]  # the CSV header, also listed by --help
+    flags: dict  # _FLAGS key -> default, for the flags this command reads
+
+
+_COMMANDS = {
+    "worst-case": Command(
+        0,
+        "cmd_worst_case",
+        "repeated-row sequence where replay backfires",
+        (
+            "variant", "T", "d", "solver", "forgetting", "analytic_stated", "abs_dev_stated",
+            "analytic_projector", "abs_dev_projector", "final_iterate_drift", "seed",
+        ),
+        {"T": 10, "d": 3, "solver": "closed"},
+    ),
+    "avg-case-3d": Command(
+        1,
+        "cmd_avg_case_3d",
+        "3D two-task replay expectation vs closed form",
+        (
+            "case", "epsilon", "m", "trials", "replay_mean", "replay_std_err",
+            "no_replay_analytic", "ratio", "ratio_std_err", "bound", "abs_dev_bound",
+            "meets_bound_3sigma", "exceeds_one_3sigma", "seed",
+        ),
+        {"epsilon": None, "m": "1", "trials": 10**5},
+    ),
+    "avg-case-highdim": Command(
+        2,
+        "cmd_avg_case_highdim",
+        "high-dimensional two-task replay expectation",
+        (
+            "case", "d", "m", "epsilon", "trials", "replay_mean", "replay_std_err",
+            "no_replay_analytic", "mean_minus_3se", "abs_dev_no_replay",
+            "exceeds_no_replay_3sigma", "seed",
+        ),
+        {"d": 152, "epsilon": None, "m": "10", "trials": 10**4},
+    ),
+    "replay-sweep": Command(
+        3,
+        "cmd_replay_sweep",
+        "forgetting vs replay-memory size, closed-form and gradient-descent lanes",
+        (
+            "case", "solver", "m", "trials", "epsilon", "mean_forgetting", "std_err",
+            "analytic_value", "abs_dev_analytic", "no_replay_analytic", "max_fit_residual",
+            "seed",
+        ),
+        {"d": 3, "epsilon": None, "m_list": "0,1,2", "trials": None},
+    ),
+    "angle-sweep": Command(
+        4,
+        "cmd_angle_sweep",
+        "forgetting vs angle between task null spaces",
+        ("theta", "empirical_forgetting", "analytic_forgetting", "abs_dev", "solver", "seed"),
+        {"d": 3, "solver": "closed", "grid_points": 91},
+    ),
+    "benign-check": Command(
+        5,
+        "cmd_benign_check",
+        "certified pairs never gain from replay",
+        (
+            "pair", "d", "rank1", "rank2", "op_norm", "certified", "base_trace",
+            "worst_replay_gain", "subsets_checked", "violations", "seed",
+        ),
+        {"d": 6, "trials": 1000},
+    ),
+    "oracles": Command(
+        6,
+        "cmd_oracles",
+        "run all numeric oracles",
+        ("name", "observed", "bound", "pass", "trials", "seed"),
+        {"trials": 10**5},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -647,85 +694,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **defaults):
+    for name, spec in _COMMANDS.items():
         sp = sub.add_parser(
-            name,
-            help=help_text,
-            epilog=f"CSV columns: {_COLUMN_DOCS[name]}",
+            name, help=spec.help, epilog=f"CSV columns: {','.join(spec.columns)}"
         )
-        sp.add_argument("--T", type=int, default=defaults.get("T", 10))
-        sp.add_argument("--d", type=int, default=defaults.get("d", 3))
-        sp.add_argument("--epsilon", type=float, default=defaults.get("epsilon"))
-        sp.add_argument(
-            "--m",
-            type=str,
-            default=defaults.get("m", "1"),
-            help="replay sizes, comma separated (single value where only one is used)",
-        )
-        sp.add_argument("--trials", type=int, default=defaults.get("trials"))
+        for key, default in spec.flags.items():
+            option, options = _FLAGS[key]
+            sp.add_argument(option, dest=key, default=default, **options)
         sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument(
-            "--solver",
-            choices=("closed", "gd"),
-            default="closed",
-            help="closed-form minimum-norm updates or gradient descent",
-        )
-        sp.add_argument("--out", type=str, default=None, help="CSV output path")
-        sp.add_argument(
-            "--grid-points",
-            type=int,
-            default=91,
-            help="angle-sweep grid resolution on [0, pi/2]",
-        )
-        return sp
-
-    add("worst-case", "repeated-row sequence where replay backfires")
-    add("avg-case-3d", "3D two-task replay expectation vs closed form", trials=10**5)
-    add(
-        "avg-case-highdim",
-        "high-dimensional two-task replay expectation",
-        d=152,
-        m="10",
-        trials=10**4,
-    )
-    add("replay-sweep", "forgetting vs replay-memory size", m="0,1,2")
-    add("angle-sweep", "forgetting vs angle between task null spaces")
-    add("benign-check", "certified pairs never gain from replay", d=6, trials=1000)
-    add("oracles", "run all numeric oracles", trials=10**5)
+        sp.add_argument("--out", default=None, help="CSV output path")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    seed = _check_seed(args.seed)
-    solver = "closed_form" if args.solver == "closed" else "gd"
-    m_list = _parse_m_list(args.m)
-    command = args.command
-    params: dict = {"seed": seed, "solver": solver}
-    if command == "worst-case":
-        params.update(T=args.T, d=args.d)
-    elif command == "avg-case-3d":
-        params.update(
-            epsilon=args.epsilon,
-            m=_single_m(m_list),
-            trials=args.trials if args.trials is not None else 10**5,
-        )
-    elif command == "avg-case-highdim":
-        params.update(
-            d=args.d,
-            epsilon=args.epsilon,
-            m=_single_m(m_list),
-            trials=args.trials if args.trials is not None else 10**4,
-        )
-    elif command == "replay-sweep":
-        params.update(d=args.d, epsilon=args.epsilon, m_list=m_list, trials=args.trials)
-    elif command == "angle-sweep":
-        params.update(d=args.d, grid_points=args.grid_points)
-    elif command == "benign-check":
-        params.update(d=args.d, trials=args.trials if args.trials is not None else 1000)
-    elif command == "oracles":
-        params.update(trials=args.trials)
-    return ExperimentConfig(command=command, params=params)
+    params = {key: getattr(args, key) for key in _COMMANDS[args.command].flags}
+    params["seed"] = _check_seed(args.seed)
+    if "solver" in params:
+        params["solver"] = "closed_form" if params["solver"] == "closed" else "gd"
+    if "m" in params:
+        params["m"] = _single_m(_parse_m_list(params["m"]))
+    if "m_list" in params:
+        params["m_list"] = _parse_m_list(params["m_list"])
+    return ExperimentConfig(command=args.command, params=params)
 
 
 def _single_m(m_list: list[int]) -> int:
@@ -737,7 +727,7 @@ def _single_m(m_list: list[int]) -> int:
 
 
 def _emit(result: ExperimentResult, out: str | None) -> None:
-    columns = list(result.columns)
+    columns = _COMMANDS[result.config.command].columns
     if out is None:
         writer = csv.DictWriter(sys.stdout, fieldnames=columns)
         writer.writeheader()
@@ -760,12 +750,19 @@ def _emit(result: ExperimentResult, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.out is not None:
+        # Checked before the run, so a bad path does not cost a whole experiment.
+        out_dir = os.path.dirname(args.out) or "."
+        if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+            print(f"cannot write output: {out_dir!r} is not writable", file=sys.stderr)
+            return 2
     try:
         cfg = _resolve_config(args)
         t0 = time.perf_counter()
-        result = _HANDLERS[cfg.command](cfg)
+        # Through the module namespace, so a wrapper installed on a cmd_*
+        # attribute (a profiler, a test double) is the one that runs.
+        result = globals()[_COMMANDS[cfg.command].handler](cfg)
         result.wallclock = time.perf_counter() - t0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

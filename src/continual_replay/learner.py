@@ -16,7 +16,6 @@ the task batch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,22 +366,3 @@ def run_sequence(
         history.append(w.copy())
     return LearnerState(w=w, history=tuple(history))
 
-
-def trajectory_to_json(state: LearnerState, seq: TaskSequence) -> str:
-    """Per-task trajectory as a JSON array.
-
-    Each record holds the 1-based task index, the full iterate reached after
-    that task, and the residual ||X_s w_t - y_s|| on every earlier task.
-    """
-    if len(state.history) != len(seq):
-        raise DimensionMismatch("trajectory length disagrees with the sequence")
-    records = []
-    for t, w_t in enumerate(state.history):
-        records.append(
-            {
-                "task_index": t + 1,
-                "w": list(map(float, w_t)),
-                "residuals": [seq.tasks[s].residual(w_t) for s in range(t)],
-            }
-        )
-    return json.dumps(records, indent=2)

@@ -121,6 +121,15 @@ class Projector:
         return self.matrix.shape[0]
 
 
+def rank_mask(svals: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Which singular values count as nonzero: those above ``tol`` times the largest.
+
+    ``svals`` is sorted descending along its last axis, as ``np.linalg.svd``
+    returns it; a stack of spectra gets one relative cut-off per spectrum.
+    """
+    return svals > tol * svals[..., :1]
+
+
 def orthonormal_basis(rows, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis for the row span of ``rows``.
 
@@ -139,7 +148,7 @@ def orthonormal_basis(rows, tol: float = DEFAULT_TOL) -> Subspace:
     if mat.shape[0] == 0:
         return Subspace(np.zeros((d, 0)))
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = int(np.sum(rank_mask(s, tol)))
     return Subspace(vh[:rank].T)
 
 
@@ -216,7 +225,7 @@ def min_norm_solve(X, y, tol: float = DEFAULT_TOL) -> np.ndarray:
     if mat.shape[0] == 0:
         return np.zeros(d)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = int(np.sum(rank_mask(s, tol)))
     coeffs = u[:, :rank].T @ rhs / s[:rank] if rank else np.zeros(0)
     w = vh[:rank].T @ coeffs
     residual = np.linalg.norm(mat @ w - rhs)

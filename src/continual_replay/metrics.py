@@ -18,16 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, TooFewTasks
-from .linalg_core import Projector, Subspace, as_vector, orthonormal_basis
+from .linalg_core import Projector, Subspace, as_vector, orthonormal_basis, rank_mask
 from .task_gen import TaskSequence, sample_task
-
-CSV_HEADER = "variant,T,per_task_losses,average"
 
 _VARIANTS = ("train_samples", "test_samples", "closed_form")
 
 # Trials per stacked SVD in the replay Monte Carlo kernel. Larger chunks
-# gain little speed and add their buffers to the process's peak memory.
+# gain little speed and add their buffers to the process's peak memory, so a
+# chunk also holds at most _REPLAY_CHUNK_ENTRIES matrix entries (8 MB): at
+# d = 3000, m = 150, 512 trials would need 1.9 GB per buffer.
 _REPLAY_CHUNK = 512
+_REPLAY_CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,6 @@ class ForgettingReport:
     def T(self) -> int:
         """Sequence length implied by the report (losses cover tasks 1..T-1)."""
         return len(self.per_task_losses) + 1
-
-    def to_csv_row(self) -> str:
-        losses = ";".join(repr(x) for x in self.per_task_losses)
-        return f"{self.variant},{self.T},{losses},{self.average!r}"
 
 
 def forgetting_train(seq: TaskSequence, w) -> ForgettingReport:
@@ -202,12 +199,12 @@ def expected_replay_forgetting_two_tasks(
     forms the augmented null projector of task 2 from the exact union
     span, and evaluates ||Pi_1 P~_2 P_1 w*||^2.
 
-    Trials run in chunks of ``_REPLAY_CHUNK``. A chunk draws all of its
+    Trials run in chunks of up to ``_REPLAY_CHUNK``. A chunk draws all of its
     replay coefficients in one call, which consumes ``rng`` in the same
     order as one draw per trial, stacks the (k2 + m) x d matrices
     [W2^T; Z W1^T], and takes one stacked SVD. The union span of each
     trial is the set of right singular vectors whose singular value
-    exceeds 1e-10 times that trial's largest one.
+    exceeds 1e-10 times that trial's largest one (``rank_mask``).
 
     Returns:
         {"mean", "std_err", "trials"} of the per-trial values.
@@ -229,14 +226,16 @@ def expected_replay_forgetting_two_tasks(
     q = w_star - W1 @ (W1.T @ w_star)  # P_1 w*
     scale = 1.0 / math.sqrt(k1)
     values = np.empty(trials)
-    for start in range(0, trials, _REPLAY_CHUNK):
-        size = min(_REPLAY_CHUNK, trials - start)
+    per_trial = (k2 + m) * s1.ambient_dim
+    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // per_trial))
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
         Z = rng.standard_normal((size, m, k1)) * scale
         stacked = np.empty((size, k2 + m, s1.ambient_dim))
         stacked[:, :k2] = s2.basis.T
         stacked[:, k2:] = Z @ W1.T
         _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-        keep = svals > 1e-10 * svals[:, :1]
+        keep = rank_mask(svals)
         coef = (vh @ q) * keep
         p = q - (coef[:, None, :] @ vh)[:, 0]  # P~_2 P_1 w*
         values[start : start + size] = np.sum((p @ W1) ** 2, axis=1)

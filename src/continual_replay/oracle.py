@@ -18,8 +18,6 @@ import numpy as np
 from .errors import InconsistentSystem, InvalidParameters
 from .linalg_core import as_matrix, as_vector
 
-CSV_HEADER = "name,observed,bound,pass,trials,seed"
-
 CLAIM_C2_BOUND = 1.4
 # sup of 63 x - 62 x^2 over x in [0, 1], attained at x = 63/124
 CLAIM_C2_STAT_MAX = 63.0**2 / (4.0 * 62.0)
@@ -39,12 +37,6 @@ class OracleVerdict:
     passed: bool
     trials: int
     seed: int
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.name},{self.observed!r},{self.bound_or_expected!r},"
-            f"{self.passed},{self.trials},{self.seed}"
-        )
 
 
 def _rng_and_seed(rng) -> tuple[np.random.Generator, int]:

@@ -13,10 +13,8 @@ in the worst case has unit norm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from .linalg_core import (
     as_matrix,
     as_vector,
     complement_basis,
+    rank_mask,
 )
 
 # Default construction parameter for the 3D average case.
@@ -83,12 +82,6 @@ class Task:
         """||X w - y||."""
         return float(np.linalg.norm(self.X @ np.asarray(w, dtype=float) - self.y))
 
-    def check_realizable(self, w_star, tol: float = REALIZABILITY_TOL) -> None:
-        if self.residual(w_star) > tol:
-            raise InconsistentSystem(
-                "task labels are not realized by the given target vector"
-            )
-
 
 @dataclass(frozen=True)
 class TaskSequence:
@@ -122,95 +115,6 @@ class TaskSequence:
 
     def __len__(self) -> int:
         return len(self.tasks)
-
-
-class ConstructionKind(str, Enum):
-    WORST_CASE = "worst_case"
-    AVG_CASE_3D = "avg_case_3d"
-    AVG_CASE_HIGHDIM = "avg_case_highdim"
-    GAUSSIAN_SUBSPACES = "gaussian_subspaces"
-    ANGLE_PAIR = "angle_pair"
-
-
-_SPEC_FIELDS = ("kind", "T", "d", "epsilon", "n_per_task", "seed")
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Serializable description of one construction run.
-
-    ``epsilon`` doubles as the generic construction parameter (the angle for
-    ANGLE_PAIR). ``n_per_task`` is either one count for every task or a list
-    with one count per task; None means "use each subspace's rank".
-    """
-
-    kind: ConstructionKind
-    T: int
-    d: int
-    epsilon: float | None = None
-    n_per_task: int | list[int] | None = None
-    seed: int = 42
-
-    def __post_init__(self):
-        kind = ConstructionKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if not isinstance(self.T, int) or isinstance(self.T, bool) or self.T < 1:
-            raise InvalidParameters(f"T must be a positive integer, got {self.T!r}")
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise InvalidParameters(f"d must be a positive integer, got {self.d!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidParameters(f"seed must be an integer, got {self.seed!r}")
-        if kind is ConstructionKind.WORST_CASE:
-            if self.T < 2 or self.d < 3:
-                raise InvalidParameters("worst_case requires T >= 2 and d >= 3")
-        elif kind is ConstructionKind.AVG_CASE_3D:
-            if self.d != 3:
-                raise InvalidParameters("avg_case_3d requires d = 3")
-            if self.epsilon is None:
-                object.__setattr__(self, "epsilon", EPSILON_3D)
-        elif kind is ConstructionKind.AVG_CASE_HIGHDIM:
-            if self.epsilon is None or not (0.0 < self.epsilon < 0.5):
-                raise InvalidEpsilon(
-                    "avg_case_highdim requires 0 < epsilon < 1/2"
-                )
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind.value,
-            "T": self.T,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "n_per_task": self.n_per_task,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstructionSpec":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameters(f"malformed construction JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InvalidParameters("construction JSON must be an object")
-        unknown = sorted(set(payload) - set(_SPEC_FIELDS))
-        if unknown:
-            raise InvalidParameters(f"unknown construction keys: {unknown}")
-        missing = [k for k in ("kind", "T", "d") if k not in payload]
-        if missing:
-            raise InvalidParameters(f"missing construction keys: {missing}")
-        try:
-            kind = ConstructionKind(payload["kind"])
-        except ValueError as exc:
-            raise InvalidParameters(f"unknown construction kind {payload['kind']!r}") from exc
-        return cls(
-            kind=kind,
-            T=payload["T"],
-            d=payload["d"],
-            epsilon=payload.get("epsilon"),
-            n_per_task=payload.get("n_per_task"),
-            seed=payload.get("seed", 42),
-        )
 
 
 def _unit_filler(basis_tail: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -379,9 +283,11 @@ def make_avg_case_highdim(
     if w_star.shape[0] != d:
         raise DimensionMismatch(f"w_star has dim {w_star.shape[0]}, expected {d}")
 
-    cols = [u] + [np.eye(d)[:, j] for j in [0] + list(range(2, d - 1))]
+    # One identity: each column view keeps its whole d x d base array alive.
+    eye = np.eye(d)
+    cols = [u] + [eye[:, j] for j in [0] + list(range(2, d - 1))]
     s1 = Subspace(np.column_stack(cols))
-    s2 = Subspace(np.eye(d)[:, d - 1 : d])
+    s2 = Subspace(eye[:, d - 1 : d])
     if not np.max(np.abs(s1.basis.T @ u_perp)) < 1e-10:
         raise ConsistencyFailure("u_perp no longer spans task 1's null space")
     a = float(u_perp @ w_star)
@@ -419,7 +325,7 @@ def sample_task(
         if k == 0:
             break
         svals = np.linalg.svd(X, compute_uv=False)
-        rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
+        rank = int(np.sum(rank_mask(svals, tol)))
         if rank == k:
             break
         if attempt == 1:

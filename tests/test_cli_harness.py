@@ -1,16 +1,21 @@
 import ast
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import continual_replay
 from continual_replay import cli_harness
-from continual_replay.cli_harness import main
-from continual_replay.errors import ConsistencyFailure, NotConverged
+from continual_replay.cli_harness import _COMMANDS, _check_highdim_constraints, main
+from continual_replay.errors import ConsistencyFailure, ConstraintViolation, NotConverged
 
 
 def _read_csv(path):
@@ -63,11 +68,39 @@ def test_configuration_errors_exit_2(argv, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracles", "--d", "50", "--solver", "gd"],
+        ["avg-case-3d", "--d", "5"],
+        ["replay-sweep", "--solver", "gd"],
+        ["benign-check", "--grid-points", "5"],
+    ],
+)
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d, m", [(152, 10), (3000, 150)])
+def test_highdim_constraints_hold(d, m):
+    # exp(m ln m) overflows a float at m = 150; the check must not
+    _check_highdim_constraints(d, m)
+
+
+@pytest.mark.parametrize("d, m", [(100, 10), (152, 11), (152, 2)])
+def test_highdim_constraints_violated(d, m):
+    with pytest.raises(ConstraintViolation):
+        _check_highdim_constraints(d, m)
+
+
 def test_internal_assertion_exits_3(monkeypatch, capsys):
     def boom(cfg):
         raise ConsistencyFailure("forced")
 
-    monkeypatch.setitem(cli_harness._HANDLERS, "worst-case", boom)
+    monkeypatch.setattr(cli_harness, "cmd_worst_case", boom)
     assert main(["worst-case"]) == 3
     assert "assertion failed: forced" in capsys.readouterr().err
 
@@ -76,7 +109,7 @@ def test_other_library_errors_exit_3(monkeypatch, capsys):
     def boom(cfg):
         raise NotConverged("forced")
 
-    monkeypatch.setitem(cli_harness._HANDLERS, "worst-case", boom)
+    monkeypatch.setattr(cli_harness, "cmd_worst_case", boom)
     assert main(["worst-case"]) == 3
     err = capsys.readouterr().err
     assert "NotConverged: forced" in err
@@ -101,9 +134,21 @@ def test_highdim_closed_form_gate_exits_3(monkeypatch, capsys):
     assert "closed form" in capsys.readouterr().err
 
 
-def test_unwritable_out_exits_2(tmp_path, capsys):
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
+    # the path is checked before the experiment runs, not after
+    calls = []
+    monkeypatch.setattr(cli_harness, "cmd_worst_case", calls.append)
     out = tmp_path / "missing" / "x.csv"
     assert main(["worst-case", "--T", "3", "--out", str(out)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "cannot write output" in err
+    assert "Traceback" not in err
+
+
+def test_output_error_at_write_time_exits_2(tmp_path, capsys):
+    # a directory passes the pre-run check, so the open itself fails
+    assert main(["worst-case", "--T", "3", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "cannot write output" in err
     assert "Traceback" not in err
@@ -133,14 +178,16 @@ def test_replay_sweep_analytic_columns(tmp_path):
 
 
 def test_replay_sweep_gd_matches_closed(tmp_path):
-    closed, gd = tmp_path / "c.csv", tmp_path / "g.csv"
-    base = ["replay-sweep", "--d", "3", "--m", "0,1", "--trials", "10", "--seed", "3"]
-    assert main(base + ["--solver", "closed", "--out", str(closed)]) == 0
-    assert main(base + ["--solver", "gd", "--out", str(gd)]) == 0
-    for rc, rg in zip(_read_csv(closed), _read_csv(gd)):
-        assert rc["m"] == rg["m"]
-        assert abs(float(rc["mean_forgetting"]) - float(rg["mean_forgetting"])) <= 1e-3
-        assert float(rg["max_fit_residual"]) <= 1e-1
+    # one run carries both solver lanes; pair them by m
+    out = tmp_path / "sweep.csv"
+    argv = ["replay-sweep", "--d", "3", "--m", "0,1", "--trials", "10", "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lanes = {(r["solver"], int(r["m"])): r for r in _read_csv(out)}
+    assert sorted(lanes) == [("closed_form", 0), ("closed_form", 1), ("gd", 0), ("gd", 1)]
+    for m in (0, 1):
+        closed, gd = lanes["closed_form", m], lanes["gd", m]
+        assert abs(float(closed["mean_forgetting"]) - float(gd["mean_forgetting"])) <= 1e-3
+        assert float(gd["max_fit_residual"]) <= 1e-1
 
 
 def test_angle_sweep_grid(tmp_path):
@@ -190,13 +237,97 @@ def test_oracles_command(tmp_path):
     assert all(r["pass"] == "True" for r in rows)
 
 
+# One small, fast run per command.
+SMALL_RUNS = {
+    "worst-case": ["--T", "3"],
+    "avg-case-3d": ["--trials", "1000"],
+    "avg-case-highdim": ["--trials", "10"],
+    "replay-sweep": ["--m", "0", "--trials", "2"],
+    "angle-sweep": ["--grid-points", "3"],
+    "benign-check": ["--trials", "2"],
+    "oracles": ["--trials", "10000"],
+}
+
+
+def _options(command):
+    """The options a command accepts besides --help."""
+    table = {cli_harness._FLAGS[key][0] for key in _COMMANDS[command].flags}
+    return table | {"--seed", "--out"}
+
+
 def test_subcommand_help_documents_columns(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["replay-sweep", "--help"])
-    assert exc.value.code == 0
-    text = capsys.readouterr().out
-    assert "CSV columns:" in text
-    assert "max_fit_residual" in text
+    assert sorted(SMALL_RUNS) == sorted(_COMMANDS)
+    for command, argv in SMALL_RUNS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        usage, _, epilog = text.partition("CSV columns:")
+        # help lists exactly the flags the command reads
+        assert set(re.findall(r"--[\w-]+", usage)) == _options(command) | {"--help"}
+        assert main([command, *argv]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "".join(epilog.split()) == header, command
+
+
+# Each command's minimum accepted --trials; the fuzz draws it or one below.
+MIN_TRIALS = {
+    "avg-case-3d": 1000,
+    "avg-case-highdim": 1,
+    "replay-sweep": 1,
+    "benign-check": 1,
+    "oracles": 10**4,
+}
+SMALL_INT = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "6", "x"])
+FUZZ_VALUES = {
+    "--T": SMALL_INT,
+    "--d": SMALL_INT,
+    "--epsilon": st.sampled_from(["-0.5", "0", "0.1", "0.4", "0.9", "1.5", "nan", "inf"]),
+    "--m": st.sampled_from(["0", "1", "2", "3", "10", "-1", "0,1", "0,1,2", "1,x", ""]),
+    "--seed": st.sampled_from(["-1", "0", "7", "x"]),
+    "--solver": st.sampled_from(["closed", "gd", "newton"]),
+    "--out": st.sampled_from(["ok.csv", "missing/x.csv"]),
+    "--grid-points": st.sampled_from(["-1", "2", "3", "7", "x"]),
+    "--trials": st.just("1"),  # drawn only for commands that do not read it
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    if command in MIN_TRIALS:
+        # --trials is always set: the defaults run for seconds
+        low = MIN_TRIALS[command]
+        argv += ["--trials", str(draw(st.sampled_from([low, low - 1])))]
+    own = sorted(_options(command) - {"--trials"})
+    flags = draw(st.lists(st.sampled_from(own), max_size=len(own), unique=True))
+    if draw(st.integers(0, 3)) == 3:  # one draw in four adds a flag it does not read
+        flags.append(draw(st.sampled_from(sorted(set(FUZZ_VALUES) - _options(command)))))
+    for flag in flags:
+        argv += [flag, draw(FUZZ_VALUES[flag])]
+    return argv
+
+
+def test_cli_fuzz_exit_codes(tmp_path):
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(fuzz_argv())
+    def run(argv):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        unread = set(argv[1::2]) - _options(argv[0])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert "Traceback" not in err.getvalue()
+        if unread:
+            assert code == 2, (argv, err.getvalue())
+        else:
+            assert code in (0, 2, 3), (argv, err.getvalue())
+
+    run()
 
 
 def test_version_flag(capsys):

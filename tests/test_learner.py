@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from continual_replay.learner import (
     fit_gd,
     run_sequence,
     select_replay,
-    trajectory_to_json,
 )
 from continual_replay.linalg_core import orthonormal_basis
 from continual_replay.task_gen import Task, TaskSequence, make_worst_case, sample_task
@@ -220,18 +217,6 @@ def test_sgd_replay_fits_joint_system():
         rng=np.random.default_rng(6),
     )
     assert seq.tasks[1].residual(state.w) <= 1e-6
-
-
-def test_trajectory_to_json():
-    rng = np.random.default_rng(13)
-    seq = _two_task_seq(rng)
-    state = run_sequence(seq)
-    records = json.loads(trajectory_to_json(state, seq))
-    assert [r["task_index"] for r in records] == [1, 2]
-    assert len(records[0]["w"]) == seq.ambient_dim
-    assert records[0]["residuals"] == []
-    assert len(records[1]["residuals"]) == 1
-    np.testing.assert_allclose(records[1]["w"], state.w, atol=1e-15)
 
 
 def test_replay_memory_validation():

@@ -17,6 +17,7 @@ from continual_replay.linalg_core import (
     orthonormal_basis,
     principal_angles,
     projector_onto,
+    rank_mask,
 )
 
 
@@ -38,6 +39,18 @@ def test_orthonormal_basis_zero_rows():
     assert s.rank == 0 and s.ambient_dim == 4
     s = orthonormal_basis(np.zeros((3, 4)))
     assert s.rank == 0
+
+
+def test_rank_cut_off_is_relative():
+    # an absolute 1e-10 cut-off would keep 5e-8 everywhere below
+    assert rank_mask(np.array([1e3, 5e-8])).tolist() == [True, False]
+    # a stack gets one cut-off per spectrum, not one for the whole stack
+    stacked = np.array([[1e3, 5e-8], [1e-3, 5e-8]])
+    assert rank_mask(stacked).tolist() == [[True, False], [True, True]]
+    assert rank_mask(np.zeros(0)).size == 0
+    X = np.diag([1e3, 5e-8])
+    assert orthonormal_basis(X).rank == 1
+    np.testing.assert_allclose(min_norm_solve(X, X @ np.ones(2)), [1.0, 0.0])
 
 
 def test_subspace_rejects_non_orthonormal():

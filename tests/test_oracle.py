@@ -10,8 +10,6 @@ from continual_replay.learner import fit_closed_form
 from continual_replay.linalg_core import min_norm_solve
 from continual_replay.oracle import (
     CLAIM_C2_STAT_MAX,
-    CSV_HEADER,
-    OracleVerdict,
     claim_c2_statistics,
     oracle_claim_c2,
     oracle_min_norm,
@@ -22,12 +20,6 @@ from continual_replay.oracle import (
 from continual_replay.task_gen import Task
 
 FIXTURES = Path(__file__).parent / "fixtures" / "oracle_reference.json"
-
-
-def test_verdict_csv_row():
-    v = OracleVerdict("x", 0.5, 1.0, True, 10, 7)
-    assert CSV_HEADER == "name,observed,bound,pass,trials,seed"
-    assert v.to_csv_row() == "x,0.5,1.0,True,10,7"
 
 
 # ------------------------------------------------------------- min-norm KKT

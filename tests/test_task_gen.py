@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,8 +15,6 @@ from continual_replay.errors import (
 from continual_replay.linalg_core import orthonormal_basis, principal_angles
 from continual_replay.task_gen import (
     EPSILON_3D,
-    ConstructionKind,
-    ConstructionSpec,
     Task,
     TaskSequence,
     make_angle_pair,
@@ -184,24 +181,3 @@ def test_task_sequence_validation():
     with pytest.raises(InvalidParameters):
         TaskSequence((Task(X=X, y=X @ w_star),), w_star, unit_norm_w_star=True)
 
-
-def test_construction_spec_round_trip():
-    spec = ConstructionSpec(kind=ConstructionKind.WORST_CASE, T=5, d=4, seed=7)
-    again = ConstructionSpec.from_json(spec.to_json())
-    assert again == spec
-
-
-def test_construction_spec_rejects_unknown_keys():
-    payload = json.loads(ConstructionSpec(kind="worst_case", T=3, d=3).to_json())
-    payload["extra"] = 1
-    with pytest.raises(InvalidParameters):
-        ConstructionSpec.from_json(json.dumps(payload))
-
-
-def test_construction_spec_validates_numbers():
-    with pytest.raises(InvalidParameters):
-        ConstructionSpec(kind="worst_case", T=1, d=3)
-    with pytest.raises(InvalidEpsilon):
-        ConstructionSpec(kind="avg_case_highdim", T=2, d=10, epsilon=0.9)
-    spec = ConstructionSpec(kind="avg_case_3d", T=2, d=3)
-    assert spec.epsilon == pytest.approx(EPSILON_3D)
