@@ -5,7 +5,9 @@ update moves the minimum Euclidean distance from the previous iterate
 subject to fitting the current task exactly; equivalently, the parameter
 error is projected onto the task's null space. Gradient descent from the
 same starting point converges to the same solution because its iterates
-never leave the affine set w_prev + rowspan(X).
+never leave the affine set w_prev + rowspan(X). Full-batch gradient
+descent is computed exactly, as the spectral filter of its K-step iterate
+(one SVD, no epoch loop and no early stop); only minibatch SGD iterates.
 
 Replay keeps up to m previously seen (row, label) pairs. For the
 closed-form and full-batch paths the memory is simply concatenated onto
@@ -42,14 +44,11 @@ class GdConfig:
     learning_rate: float | None = 0.1
     epochs: int = 7000
     batch_size: int = 0
-    lr_decay: float = 1.0
     convergence_tol: float = 1e-10
 
     def __post_init__(self):
         if self.learning_rate is not None and not self.learning_rate > 0:
             raise InvalidParameters("learning_rate must be positive (or None for auto)")
-        if not (0.0 < self.lr_decay <= 1.0):
-            raise InvalidParameters("lr_decay must lie in (0, 1]")
         if self.epochs < 1:
             raise InvalidParameters("epochs must be at least 1")
         if self.batch_size < 0:
@@ -165,11 +164,15 @@ def _gd_loop(
     if n == 0:
         return w
 
-    gram_top = float(np.linalg.svd(full_X, compute_uv=False)[0]) ** 2
+    full_batch = cfg.batch_size == 0
+    if full_batch:
+        U, svals, Vt = np.linalg.svd(full_X, full_matrices=False)
+    else:
+        svals = np.linalg.svd(full_X, compute_uv=False)
+    gram_top = float(svals[0]) ** 2
     if gram_top == 0.0:
         # All-zero rows constrain nothing; consistency was already checked.
         return w
-    full_batch = cfg.batch_size == 0
     if cfg.learning_rate is None:
         lr = 1.0 / gram_top
     else:
@@ -178,18 +181,24 @@ def _gd_loop(
             raise InvalidParameters(
                 f"learning_rate {lr} >= 2/lambda_max = {2.0 / gram_top:.3e}"
             )
-    if not full_batch and rng is None:
-        rng = np.random.default_rng(0)
 
-    m = 0 if mem_rows is None else mem.size
-    n_task = X.shape[0]
-    prev_loss = np.inf
-    rising = 0
-    for epoch in range(cfg.epochs):
-        step = lr * (cfg.lr_decay**epoch)
-        if full_batch:
-            w -= step * (full_X.T @ (full_X @ w - full_y))
-        else:
+    if full_batch:
+        # K steps w <- w - lr X^T (X w - y) in closed form:
+        # w_K = w0 + V diag((1 - (1 - lr s^2)^K) / s) U^T (y - X w0).
+        # Every s > 0 counts (GD moves along tiny directions too), and the
+        # plain power stays finite for lr s^2 in (1, 2), unlike log1p.
+        keep = svals > 0
+        s = svals[keep]
+        gain = (1.0 - (1.0 - lr * s * s) ** cfg.epochs) / s
+        w += Vt[keep].T @ (gain * (U[:, keep].T @ (full_y - full_X @ w)))
+    else:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        m = 0 if mem_rows is None else mem.size
+        n_task = X.shape[0]
+        prev_loss = np.inf
+        rising = 0
+        for _ in range(cfg.epochs):
             order = rng.permutation(n_task) if n_task else np.zeros(0, dtype=int)
             for lo in range(0, n_task, cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
@@ -202,21 +211,24 @@ def _gd_loop(
                     # Up-weight so memory carries the same total weight as
                     # the task batch.
                     grad += (len(idx) / b_eff) * (Xm.T @ (Xm @ w - ym))
-                w -= step * grad
-        residual = float(np.linalg.norm(full_X @ w - full_y))
-        if residual <= cfg.convergence_tol:
-            return w
-        loss = residual * residual
-        if loss > prev_loss:
-            rising += 1
-            if rising >= 10:
-                raise Diverged(f"loss rose for {rising} consecutive epochs")
-        else:
-            rising = 0
-        prev_loss = loss
-    raise NotConverged(
-        f"||Xw - y|| = {residual:.3e} > {cfg.convergence_tol} after {cfg.epochs} epochs"
-    )
+                w -= lr * grad
+            residual = float(np.linalg.norm(full_X @ w - full_y))
+            if residual <= cfg.convergence_tol:
+                return w
+            loss = residual * residual
+            if loss > prev_loss:
+                rising += 1
+                if rising >= 10:
+                    raise Diverged(f"loss rose for {rising} consecutive epochs")
+            else:
+                rising = 0
+            prev_loss = loss
+    residual = float(np.linalg.norm(full_X @ w - full_y))
+    if residual > cfg.convergence_tol:
+        raise NotConverged(
+            f"||Xw - y|| = {residual:.3e} > {cfg.convergence_tol} after {cfg.epochs} epochs"
+        )
+    return w
 
 
 def fit_gd(
@@ -225,15 +237,19 @@ def fit_gd(
     cfg: GdConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Gradient descent on ||X w - y||^2 from w_prev until convergence.
+    """``cfg.epochs`` epochs of gradient descent on ||X w - y||^2 from w_prev.
 
-    Because every gradient lies in the row span of X, the limit is the same
-    minimum-distance solution as fit_closed_form (agreement within 1e-4 is
-    part of the test contract).
+    Full batch (``batch_size=0``) returns the exact K-step iterate from one
+    SVD, with no early stop. Minibatch SGD iterates and stops at the first
+    epoch whose residual meets the tolerance. Because every gradient lies in
+    the row span of X, the limit is the same minimum-distance solution as
+    fit_closed_form (agreement within 1e-4 is part of the test contract).
 
     Raises:
-        Diverged: if the loss increases for 10 consecutive epochs.
-        NotConverged: if the tolerance is unmet after ``cfg.epochs``.
+        NotConverged: if ||X w - y|| > ``cfg.convergence_tol`` after
+            ``cfg.epochs`` epochs.
+        Diverged: minibatch SGD only, if the loss rises for 10 consecutive
+            epochs.
         InvalidParameters: if a fixed learning rate violates the full-batch
             stability bound 2/lambda_max(X^T X).
     """
@@ -320,27 +336,19 @@ def run_sequence(
     solver: str = "closed_form",
     gd_config: GdConfig | None = None,
     rng: np.random.Generator | None = None,
-    replay_at: int | None = None,
 ) -> LearnerState:
     """Train on the tasks in order, starting from the all-zero vector.
 
     Args:
-        replay: optional (m, policy); the memory is drawn once at the
-            designated task boundary from all earlier rows.
+        replay: optional (m, policy); the memory is drawn once, before the
+            final task, from the rows of all earlier tasks.
         solver: "closed_form" or "gd".
-        replay_at: task index at which replay is applied; defaults to the
-            final task.
 
     Returns:
         LearnerState with w = w_T and the full trajectory.
     """
     if solver not in ("closed_form", "gd"):
         raise InvalidParameters(f"unknown solver {solver!r}")
-    T = len(seq)
-    if replay_at is None:
-        replay_at = T - 1
-    if replay is not None and not (0 <= replay_at < T):
-        raise InvalidParameters(f"replay_at {replay_at} outside the sequence")
     if gd_config is None:
         gd_config = GdConfig()
     if rng is None:
@@ -350,7 +358,7 @@ def run_sequence(
     history = []
     for t, task in enumerate(seq.tasks):
         mem = None
-        if replay is not None and t == replay_at:
+        if replay is not None and t == len(seq) - 1:
             m, policy = replay
             mem = select_replay(seq, t, m, policy, rng)
         if solver == "closed_form":

@@ -163,6 +163,26 @@ def test_reruns_are_bit_identical(tmp_path):
     assert filecmp.cmp(tmp_path / "a.config.json", tmp_path / "b.config.json", shallow=False)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["avg-case-3d", "--trials", "1000"],
+        ["avg-case-highdim", "--trials", "10"],
+        ["replay-sweep", "--m", "0"],
+        ["replay-sweep", "--d", "4", "--m", "0"],
+    ],
+)
+def test_sidecar_echoes_resolved_defaults(argv, tmp_path):
+    # run without --epsilon (and replay-sweep without --trials): the sidecar
+    # carries the values the command ran with, not null
+    out = tmp_path / "run.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    params = json.loads((tmp_path / "run.config.json").read_text())["params"]
+    for row in _read_csv(out):
+        assert params["epsilon"] == float(row["epsilon"])
+        assert params["trials"] == int(row["trials"])
+
+
 def test_replay_sweep_analytic_columns(tmp_path):
     out = tmp_path / "sweep.csv"
     argv = ["replay-sweep", "--d", "3", "--m", "0,1,2", "--trials", "20", "--out", str(out)]
@@ -309,23 +329,38 @@ def fuzz_argv(draw):
     return argv
 
 
+def _run_capturing(argv):
+    """Exit code, stdout, stderr and the bytes of any CSV and sidecar written."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    files = []
+    if code == 0 and "--out" in argv:
+        csv_path = Path(argv[argv.index("--out") + 1])
+        sidecar = csv_path.with_name(csv_path.name[: -len(".csv")] + ".config.json")
+        files = [csv_path.read_bytes(), sidecar.read_bytes()]
+    return code, out.getvalue(), err.getvalue(), files
+
+
 def test_cli_fuzz_exit_codes(tmp_path):
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(fuzz_argv())
     def run(argv):
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         unread = set(argv[1::2]) - _options(argv[0])
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert "Traceback" not in err.getvalue()
+        code, out, err, files = _run_capturing(argv)
+        assert "Traceback" not in err
         if unread:
-            assert code == 2, (argv, err.getvalue())
+            assert code == 2, (argv, err)
         else:
-            assert code in (0, 2, 3), (argv, err.getvalue())
+            assert code in (0, 2, 3), (argv, err)
+        if code == 0:
+            # a rerun writes the same CSV (stdout or file) and sidecar, byte for byte
+            code2, out2, _, files2 = _run_capturing(argv)
+            assert (code2, out2, files2) == (code, out, files), argv
 
     run()
 

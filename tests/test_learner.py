@@ -74,6 +74,79 @@ def test_fit_gd_matches_closed_form(seed):
     )
 
 
+def _gd_epochs(w0, X, y, lr, epochs):
+    """Reference: the per-epoch full-batch loop that fit_gd computes in closed form."""
+    w = w0.copy()
+    for _ in range(epochs):
+        w -= lr * (X.T @ (X @ w - y))
+    return w
+
+
+def _gd_test_systems():
+    """(X, y, w0) with n < d, n > d, and one row within 1e-7 of another."""
+    rng = np.random.default_rng(40)
+    d = 8
+    w_star = rng.standard_normal(d)
+    wide = rng.standard_normal((3, d))
+    tall = rng.standard_normal((12, d))
+    dependent = np.vstack([wide, wide[0] + 1e-7 * rng.standard_normal(d)])
+    return [(X, X @ w_star, rng.standard_normal(d)) for X in (wide, tall, dependent)]
+
+
+def _rate(scale, *Xs):
+    # scale / lambda_max over every system the rate must keep stable
+    return scale / max(np.linalg.norm(X, 2) ** 2 for X in Xs)
+
+
+@pytest.mark.parametrize("epochs", [1, 7, 300, 3000])
+@pytest.mark.parametrize("scale", [None, 1.9])  # None: fit_gd's auto rate 1/lambda_max
+def test_full_batch_gd_matches_epoch_loop(epochs, scale):
+    def close(w, ref, w0):
+        # relative to the distance the loop moved
+        assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref - w0)
+
+    for X, y, w0 in _gd_test_systems():
+        lr = _rate(1.0 if scale is None else scale, X)
+        cfg = GdConfig(
+            learning_rate=None if scale is None else lr,
+            epochs=epochs,
+            convergence_tol=np.inf,
+        )
+        close(fit_gd(w0, Task(X=X, y=y), cfg), _gd_epochs(w0, X, y, lr, epochs), w0)
+
+    # replay-augmented sequence: the memory joins the final task's rows
+    seq = _two_task_seq(np.random.default_rng(41), d=8)
+    mem = select_replay(seq, 1, 2, UniformWithoutReplacement(), np.random.default_rng(5))
+    tasks = (seq.tasks[0], augment_with_replay(seq.tasks[1], mem))
+    fixed = None if scale is None else _rate(scale, *(t.X for t in tasks))
+    cfg = GdConfig(learning_rate=fixed, epochs=epochs, convergence_tol=np.inf)
+    state = run_sequence(
+        seq,
+        replay=(2, UniformWithoutReplacement()),
+        solver="gd",
+        gd_config=cfg,
+        rng=np.random.default_rng(5),
+    )
+    w = np.zeros(8)
+    for task, w_gd in zip(tasks, state.history):
+        lr = _rate(1.0, task.X) if fixed is None else fixed
+        w_next = _gd_epochs(w, task.X, task.y, lr, epochs)
+        close(w_gd, w_next, w)
+        w = w_next
+
+
+def test_full_batch_gd_not_converged_boundary():
+    # the residual after exactly K epochs decides; there is no early stop
+    X, y, w0 = _gd_test_systems()[0]
+    epochs = 7
+    reached = np.linalg.norm(X @ _gd_epochs(w0, X, y, _rate(1.0, X), epochs) - y)
+    task = Task(X=X, y=y)
+    with pytest.raises(NotConverged):
+        fit_gd(w0, task, GdConfig(learning_rate=None, epochs=epochs, convergence_tol=0.99 * reached))
+    w = fit_gd(w0, task, GdConfig(learning_rate=None, epochs=epochs, convergence_tol=1.01 * reached))
+    assert task.residual(w) == pytest.approx(reached, rel=1e-10)
+
+
 def test_fit_gd_zero_loss_start():
     rng = np.random.default_rng(7)
     w_star = rng.standard_normal(5)
@@ -110,8 +183,6 @@ def test_gd_config_validation():
         GdConfig(learning_rate=-0.1)
     with pytest.raises(InvalidParameters):
         GdConfig(batch_size=-1)
-    with pytest.raises(InvalidParameters):
-        GdConfig(lr_decay=0.0)
 
 
 # ---------------------------------------------------------------- replay
