@@ -2,8 +2,9 @@
 
 Each subcommand wires constructions, learners, and metrics into one
 experiment and writes a CSV (plus a JSON sidecar echoing the resolved
-configuration and any closed-form predictions). Empirical columns always
-sit next to their analytic counterparts with an absolute-deviation column.
+configuration, any closed-form predictions, and deterministic diagnostics).
+Empirical columns always sit next to their analytic counterparts with an
+absolute-deviation column.
 Wallclock goes to stderr only, so reruns with the same seed are
 bit-identical on disk.
 
@@ -20,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,6 +95,8 @@ class ExperimentResult:
     rows: list[dict]
     analytic_predictions: dict
     wallclock: float
+    # Deterministic counts that explain the run's numbers, for the sidecar.
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _stream(seed: int, command: str, *extra: int) -> np.random.Generator:
@@ -441,6 +444,9 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
     spaces, keeps those whose null-projector product passes the sqrt(2)/2
     certificate, and compares the trace-form expectation (over standard
     normal w*) with and without replay for 50 random replay subsets each.
+    A subset is vacuous when its replay fills the whole space (the replay
+    null projector has trace below 1/2): forgetting is then 0 and the
+    certificate is not tested. The sidecar's diagnostics count them.
     """
     p = cfg.params
     d, trials, seed = p["d"], p["trials"], p["seed"]
@@ -452,6 +458,8 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     certified_count = 0
     violations_total = 0
+    vacuous_subsets = 0
+    pairs_all_vacuous = 0
     for i in range(trials):
         rng = _stream(seed, "benign-check", i)
         k1 = d - int(rng.integers(1, 3))
@@ -465,15 +473,20 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
         worst_gain = -math.inf
         if cert["certified"]:
             certified_count += 1
+            vacuous = 0
             for _ in range(subsets):
                 m = 1 + int(rng.integers(0, s1.rank))
                 Z = rng.standard_normal((m, s1.rank)) / math.sqrt(s1.rank)
                 proj = replay_null_projector(s2, Z @ s1.basis.T)
+                if proj.matrix.trace() < 0.5:
+                    vacuous += 1
                 val = expected_forgetting_trace_form(s1, s2, proj)
                 worst_gain = max(worst_gain, val - base)
                 if val > base + 1e-12:
                     violations += 1
             checked = subsets
+            vacuous_subsets += vacuous
+            pairs_all_vacuous += int(vacuous == subsets)
         violations_total += violations
         rows.append(
             {
@@ -496,7 +509,8 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
         "certified_pairs": certified_count,
         "violations": violations_total,
     }
-    return ExperimentResult(cfg, rows, analytic, 0.0)
+    diagnostics = {"vacuous_subsets": vacuous_subsets, "pairs_all_vacuous": pairs_all_vacuous}
+    return ExperimentResult(cfg, rows, analytic, 0.0, diagnostics)
 
 
 def cmd_oracles(cfg: ExperimentConfig) -> ExperimentResult:
@@ -721,6 +735,7 @@ def _emit(result: ExperimentResult, out: str | None) -> None:
         "command": result.config.command,
         "params": result.config.params,
         "analytic_predictions": result.analytic_predictions,
+        "diagnostics": result.diagnostics,
         "version": __version__,
     }
     with open(sidecar, "w") as fh:

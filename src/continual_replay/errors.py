@@ -35,10 +35,6 @@ class InvalidDimension(ConfigurationError):
     """Ambient dimension too small for the requested construction."""
 
 
-class DegenerateWStar(ConfigurationError):
-    """The supplied target vector has no component along the error direction."""
-
-
 class InvalidEpsilon(ConfigurationError):
     """Construction parameter epsilon outside its admissible interval."""
 
@@ -57,10 +53,6 @@ class InvalidAngle(ConfigurationError):
 
 class NotEnoughSamples(ConfigurationError):
     """Replay selection asked for more samples than earlier tasks provide."""
-
-
-class Diverged(ContinualReplayError):
-    """Gradient descent loss increased for too many consecutive epochs."""
 
 
 class NotConverged(ContinualReplayError):

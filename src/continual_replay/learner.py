@@ -1,4 +1,4 @@
-"""Sequential learner: minimum-norm updates, GD/SGD, and sample replay.
+"""Sequential learner: minimum-norm updates, full-batch GD, and sample replay.
 
 The learner starts from the all-zero vector and fits tasks in order. Each
 update moves the minimum Euclidean distance from the previous iterate
@@ -7,13 +7,11 @@ error is projected onto the task's null space. Gradient descent from the
 same starting point converges to the same solution because its iterates
 never leave the affine set w_prev + rowspan(X). Full-batch gradient
 descent is computed exactly, as the spectral filter of its K-step iterate
-(one SVD, no epoch loop and no early stop); only minibatch SGD iterates.
+(one SVD, no epoch loop and no early stop).
 
-Replay keeps up to m previously seen (row, label) pairs. For the
-closed-form and full-batch paths the memory is simply concatenated onto
-the task (row order does not change the span); for minibatch SGD each step
-merges min(batch, m) memory rows up-weighted so their total weight matches
-the task batch.
+Replay keeps up to m previously seen (row, label) pairs. Both solvers fit
+the final task with the memory concatenated onto its rows (row order does
+not change the span).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    Diverged,
     InvalidParameters,
     NotConverged,
     NotEnoughSamples,
@@ -35,15 +32,14 @@ from .task_gen import Task, TaskSequence
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Gradient-descent settings.
+    """Full-batch gradient-descent settings.
 
     ``learning_rate=None`` selects 1/lambda_max(X^T X) per task, which always
-    satisfies the stability bound. ``batch_size=0`` means full-batch.
+    satisfies the stability bound.
     """
 
     learning_rate: float | None = 0.1
     epochs: int = 7000
-    batch_size: int = 0
     convergence_tol: float = 1e-10
 
     def __post_init__(self):
@@ -51,8 +47,6 @@ class GdConfig:
             raise InvalidParameters("learning_rate must be positive (or None for auto)")
         if self.epochs < 1:
             raise InvalidParameters("epochs must be at least 1")
-        if self.batch_size < 0:
-            raise InvalidParameters("batch_size must be >= 0 (0 = full batch)")
         if not self.convergence_tol > 0:
             raise InvalidParameters("convergence_tol must be positive")
 
@@ -147,118 +141,62 @@ def fit_closed_form(w_prev, task: Task) -> np.ndarray:
     return w_prev + min_norm_solve(task.X, task.y - task.X @ w_prev)
 
 
-def _gd_loop(
-    w0: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: GdConfig,
-    rng: np.random.Generator | None,
-    mem: ReplayMemory | None = None,
-) -> np.ndarray:
-    """Shared GD/SGD engine; ``mem`` activates per-step replay merging."""
-    w = w0.copy()
-    mem_rows = mem.rows if mem is not None and mem.size else None
-    full_X = X if mem_rows is None else np.vstack([X, mem_rows])
-    full_y = y if mem_rows is None else np.concatenate([y, mem.labels])
-    n = full_X.shape[0]
-    if n == 0:
-        return w
+def fit_gd(w_prev, task: Task, cfg: GdConfig | None = None) -> np.ndarray:
+    """``cfg.epochs`` full-batch gradient-descent steps on ||X w - y||^2 from w_prev.
 
-    full_batch = cfg.batch_size == 0
-    if full_batch:
-        U, svals, Vt = np.linalg.svd(full_X, full_matrices=False)
-    else:
-        svals = np.linalg.svd(full_X, compute_uv=False)
-    gram_top = float(svals[0]) ** 2
-    if gram_top == 0.0:
-        # All-zero rows constrain nothing; consistency was already checked.
-        return w
-    if cfg.learning_rate is None:
-        lr = 1.0 / gram_top
-    else:
-        lr = cfg.learning_rate
-        if full_batch and lr >= 2.0 / gram_top:
-            raise InvalidParameters(
-                f"learning_rate {lr} >= 2/lambda_max = {2.0 / gram_top:.3e}"
-            )
+    The K-step iterate w <- w - lr X^T (X w - y) is computed exactly from
+    one SVD X = U diag(s) V^T, with no epoch loop and no early stop:
 
-    if full_batch:
-        # K steps w <- w - lr X^T (X w - y) in closed form:
-        # w_K = w0 + V diag((1 - (1 - lr s^2)^K) / s) U^T (y - X w0).
-        # Every s > 0 counts (GD moves along tiny directions too), and the
-        # plain power stays finite for lr s^2 in (1, 2), unlike log1p.
-        keep = svals > 0
-        s = svals[keep]
-        gain = (1.0 - (1.0 - lr * s * s) ** cfg.epochs) / s
-        w += Vt[keep].T @ (gain * (U[:, keep].T @ (full_y - full_X @ w)))
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        m = 0 if mem_rows is None else mem.size
-        n_task = X.shape[0]
-        prev_loss = np.inf
-        rising = 0
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n_task) if n_task else np.zeros(0, dtype=int)
-            for lo in range(0, n_task, cfg.batch_size):
-                idx = order[lo : lo + cfg.batch_size]
-                Xb, yb = X[idx], y[idx]
-                grad = Xb.T @ (Xb @ w - yb)
-                if m:
-                    b_eff = min(len(idx), m)
-                    sel = rng.choice(m, size=b_eff, replace=False)
-                    Xm, ym = mem_rows[sel], mem.labels[sel]
-                    # Up-weight so memory carries the same total weight as
-                    # the task batch.
-                    grad += (len(idx) / b_eff) * (Xm.T @ (Xm @ w - ym))
-                w -= lr * grad
-            residual = float(np.linalg.norm(full_X @ w - full_y))
-            if residual <= cfg.convergence_tol:
-                return w
-            loss = residual * residual
-            if loss > prev_loss:
-                rising += 1
-                if rising >= 10:
-                    raise Diverged(f"loss rose for {rising} consecutive epochs")
-            else:
-                rising = 0
-            prev_loss = loss
-    residual = float(np.linalg.norm(full_X @ w - full_y))
-    if residual > cfg.convergence_tol:
-        raise NotConverged(
-            f"||Xw - y|| = {residual:.3e} > {cfg.convergence_tol} after {cfg.epochs} epochs"
-        )
-    return w
+        w_K = w_prev + V diag((1 - (1 - lr s^2)^K) / s) U^T (y - X w_prev).
 
-
-def fit_gd(
-    w_prev,
-    task: Task,
-    cfg: GdConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """``cfg.epochs`` epochs of gradient descent on ||X w - y||^2 from w_prev.
-
-    Full batch (``batch_size=0``) returns the exact K-step iterate from one
-    SVD, with no early stop. Minibatch SGD iterates and stops at the first
-    epoch whose residual meets the tolerance. Because every gradient lies in
-    the row span of X, the limit is the same minimum-distance solution as
-    fit_closed_form (agreement within 1e-4 is part of the test contract).
+    Because every step lies in the row span of X, the limit is the same
+    minimum-distance solution as fit_closed_form (agreement within 1e-4 is
+    part of the test contract).
 
     Raises:
-        NotConverged: if ||X w - y|| > ``cfg.convergence_tol`` after
-            ``cfg.epochs`` epochs.
-        Diverged: minibatch SGD only, if the loss rises for 10 consecutive
-            epochs.
-        InvalidParameters: if a fixed learning rate violates the full-batch
-            stability bound 2/lambda_max(X^T X).
+        NotConverged: if ||X w_K - y|| > ``cfg.convergence_tol``.
+        InvalidParameters: if a fixed learning rate violates the stability
+            bound 2/lambda_max(X^T X).
     """
     w_prev = as_vector(w_prev, "w_prev")
     if w_prev.shape[0] != task.ambient_dim:
         raise DimensionMismatch("w_prev dimension does not match the task")
     if cfg is None:
         cfg = GdConfig()
-    return _gd_loop(w_prev, task.X, task.y, cfg, rng)
+    X, y = task.X, task.y
+    if X.shape[0] == 0:
+        return w_prev.copy()
+    U, svals, Vt = np.linalg.svd(X, full_matrices=False)
+    gram_top = float(svals[0]) ** 2
+    if gram_top == 0.0:
+        # All-zero rows constrain nothing; consistency was already checked.
+        return w_prev.copy()
+    if cfg.learning_rate is None:
+        lr = 1.0 / gram_top
+    else:
+        lr = cfg.learning_rate
+        if lr >= 2.0 / gram_top:
+            raise InvalidParameters(
+                f"learning_rate {lr} >= 2/lambda_max = {2.0 / gram_top:.3e}"
+            )
+    # Every s > 0 counts: gradient descent moves along tiny directions too.
+    keep = svals > 0
+    s = svals[keep]
+    step = lr * s * s
+    # 1 - (1 - step)^K rounds away its digits where step is tiny, so below 1
+    # it is -expm1(K log1p(-step)); at and above 1 (up to the stability
+    # bound 2) log1p has no real value and the plain power stays finite.
+    below = step < 1.0
+    gain = np.empty_like(s)
+    gain[below] = -np.expm1(cfg.epochs * np.log1p(-step[below])) / s[below]
+    gain[~below] = (1.0 - (1.0 - step[~below]) ** cfg.epochs) / s[~below]
+    w = w_prev + Vt[keep].T @ (gain * (U[:, keep].T @ (y - X @ w_prev)))
+    residual = float(np.linalg.norm(X @ w - y))
+    if residual > cfg.convergence_tol:
+        raise NotConverged(
+            f"||Xw - y|| = {residual:.3e} > {cfg.convergence_tol} after {cfg.epochs} epochs"
+        )
+    return w
 
 
 def select_replay(
@@ -318,8 +256,8 @@ def select_replay(
 
 
 def augment_with_replay(task: Task, mem: ReplayMemory) -> Task:
-    """Concatenate memory rows onto the task (row order is irrelevant for
-    the closed-form path because the projector depends only on the span)."""
+    """Concatenate memory rows onto the task (row order is irrelevant: both
+    solvers see the rows only through X^T X and X^T y)."""
     if mem.size == 0:
         return task
     if mem.rows.shape[1] != task.ambient_dim:
@@ -349,28 +287,18 @@ def run_sequence(
     """
     if solver not in ("closed_form", "gd"):
         raise InvalidParameters(f"unknown solver {solver!r}")
-    if gd_config is None:
-        gd_config = GdConfig()
     if rng is None:
         rng = np.random.default_rng(0)
 
     w = np.zeros(seq.ambient_dim)
     history = []
     for t, task in enumerate(seq.tasks):
-        mem = None
         if replay is not None and t == len(seq) - 1:
             m, policy = replay
-            mem = select_replay(seq, t, m, policy, rng)
+            task = augment_with_replay(task, select_replay(seq, t, m, policy, rng))
         if solver == "closed_form":
-            if mem is not None:
-                task = augment_with_replay(task, mem)
             w = fit_closed_form(w, task)
         else:
-            if mem is not None and gd_config.batch_size == 0:
-                # Full-batch: concatenation reaches the same fixed point.
-                task = augment_with_replay(task, mem)
-                mem = None
-            w = _gd_loop(w, task.X, task.y, gd_config, rng, mem)
+            w = fit_gd(w, task, gd_config)
         history.append(w.copy())
     return LearnerState(w=w, history=tuple(history))
-

@@ -29,6 +29,8 @@ _VARIANTS = ("train_samples", "test_samples", "closed_form")
 # d = 3000, m = 150, 512 trials would need 1.9 GB per buffer.
 _REPLAY_CHUNK = 512
 _REPLAY_CHUNK_ENTRIES = 2**20
+# Draws per vectorized block in forgetting_test_mean.
+_TEST_CHUNK = 20000
 
 
 @dataclass(frozen=True)
@@ -73,35 +75,21 @@ def forgetting_test(
     w,
     w_star,
     rng: np.random.Generator,
-    n_per_task=None,
 ) -> ForgettingReport:
     """One fresh-sample draw of forgetting.
 
-    Draws k_t new rows from each of the first T-1 task subspaces (or
-    ``n_per_task`` rows, which only reduces variance; the expectation is
-    sample-count free) and averages the squared residuals of w.
+    Draws k_t new rows from each of the first T-1 task subspaces and
+    averages the squared residuals of w.
     """
     T = len(subspaces)
     if T < 2:
         raise TooFewTasks("forgetting needs at least two tasks")
     w = as_vector(w, "w")
     w_star = as_vector(w_star, "w_star")
-    losses = []
-    for t in range(T - 1):
-        s = subspaces[t]
-        n = _n_for(n_per_task, t, s.rank)
-        task = sample_task(s, n, w_star, rng)
-        losses.append(task.residual(w) ** 2)
-    losses = tuple(losses)
+    losses = tuple(
+        sample_task(s, s.rank, w_star, rng).residual(w) ** 2 for s in subspaces[:-1]
+    )
     return ForgettingReport(losses, sum(losses) / len(losses), "test_samples")
-
-
-def _n_for(n_per_task, t: int, rank: int) -> int:
-    if n_per_task is None:
-        return rank
-    if isinstance(n_per_task, int):
-        return n_per_task
-    return int(n_per_task[t])
 
 
 def forgetting_test_mean(
@@ -110,14 +98,12 @@ def forgetting_test_mean(
     w_star,
     trials: int,
     rng: np.random.Generator,
-    n_per_task=None,
-    chunk: int = 20000,
 ) -> dict:
     """Monte Carlo mean of forgetting_test over many independent draws.
 
     Vectorizes the identical sampling law: a fresh row W z contributes
     (z . W^T(w - w*))^2, so each draw's loss is ||Z_t c_t||^2 with
-    c_t = W_t^T (w - w*) and Z_t an n_t x k_t matrix of N(0, 1/k_t)
+    c_t = W_t^T (w - w*) and Z_t a k_t x k_t matrix of N(0, 1/k_t)
     entries. Returns the mean, its standard error, and the trial count.
     """
     T = len(subspaces)
@@ -128,19 +114,16 @@ def forgetting_test_mean(
     w = as_vector(w, "w")
     w_star = as_vector(w_star, "w_star")
     delta = w - w_star
-    coords = []
-    for t in range(T - 1):
-        s = subspaces[t]
-        coords.append((s.basis.T @ delta, _n_for(n_per_task, t, s.rank), s.rank))
+    coords = [(s.basis.T @ delta, s.rank) for s in subspaces[:-1]]
     values = np.zeros(trials)
     done = 0
     while done < trials:
-        size = min(chunk, trials - done)
+        size = min(_TEST_CHUNK, trials - done)
         total = np.zeros(size)
-        for c, n, k in coords:
-            if k == 0 or n == 0:
+        for c, k in coords:
+            if k == 0:
                 continue
-            Z = rng.standard_normal((size, n, k)) / math.sqrt(k)
+            Z = rng.standard_normal((size, k, k)) / math.sqrt(k)
             total += np.sum(np.einsum("ijk,k->ij", Z, c) ** 2, axis=1)
         values[done : done + size] = total / (T - 1)
         done += size

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     ConsistencyFailure,
-    DegenerateWStar,
     DimensionMismatch,
     InconsistentSystem,
     InvalidAngle,
@@ -51,7 +50,6 @@ class Task:
 
     X: np.ndarray
     y: np.ndarray
-    source_subspace: Subspace | None = None
 
     def __post_init__(self):
         X = as_matrix(self.X, "X")
@@ -60,9 +58,6 @@ class Task:
             raise DimensionMismatch(
                 f"{X.shape[0]} rows but {y.shape[0]} labels"
             )
-        if self.source_subspace is not None:
-            if self.source_subspace.ambient_dim != X.shape[1]:
-                raise DimensionMismatch("source subspace ambient dim mismatch")
         frozen_X = np.array(X, copy=True)
         frozen_X.flags.writeable = False
         frozen_y = np.array(y, copy=True)
@@ -90,7 +85,6 @@ class TaskSequence:
     tasks: tuple[Task, ...]
     w_star: np.ndarray
     ambient_dim: int = field(default=-1)
-    unit_norm_w_star: bool = False
 
     def __post_init__(self):
         tasks = tuple(self.tasks)
@@ -105,8 +99,6 @@ class TaskSequence:
                 raise DimensionMismatch(f"task {i} has ambient dim {task.ambient_dim} != {d}")
             if task.residual(w_star) > REALIZABILITY_TOL:
                 raise InconsistentSystem(f"task {i} is not realizable by w_star")
-        if self.unit_norm_w_star and np.linalg.norm(w_star) > 1.0 + 1e-9:
-            raise InvalidParameters("w_star norm exceeds 1 but the unit-norm flag is set")
         frozen = np.array(w_star, copy=True)
         frozen.flags.writeable = False
         object.__setattr__(self, "tasks", tasks)
@@ -138,7 +130,6 @@ def _haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
 def make_worst_case(
     T: int,
     d: int,
-    w_star=None,
     rng: np.random.Generator | None = None,
     random_rotation: bool = False,
 ) -> tuple[TaskSequence, tuple[np.ndarray, float]]:
@@ -147,13 +138,13 @@ def make_worst_case(
     Tasks 1..T-2 constrain x1 (plus, for d > 3, one random unit filler row
     inside span{v4..vd} each); task T-1 constrains x1 and x2; the final task
     constrains x3 together with rows spanning span{v4..vd}. All rows have
-    unit norm. The designated replay sample is (x2, x2.w*).
+    unit norm. The target is w* = v2, whose component along the forgotten
+    direction u = sqrt(6/7) v2 - sqrt(1/7) v3 is a = sqrt(6/7). The
+    designated replay sample is (x2, x2.w*).
 
     Args:
         T: number of tasks, at least 2.
         d: ambient dimension, at least 3.
-        w_star: target vector; defaults to the basis vector v2. Must have a
-            nonzero component along u = sqrt(6/7) v2 - sqrt(1/7) v3.
         rng: generator used for filler rows and the optional rotation.
         random_rotation: replace the canonical basis by a random orthonormal
             one (basis independence checks).
@@ -174,16 +165,7 @@ def make_worst_case(
     x1 = v1
     x2 = (1.0 / (2.0 * math.sqrt(2.0))) * (v1 + v2) + (math.sqrt(3.0) / 2.0) * v3
     x3 = v3
-    u = math.sqrt(6.0 / 7.0) * v2 - math.sqrt(1.0 / 7.0) * v3
-
-    if w_star is None:
-        w_star = v2
-    w_star = as_vector(w_star, "w_star")
-    if w_star.shape[0] != d:
-        raise DimensionMismatch(f"w_star has dim {w_star.shape[0]}, expected {d}")
-    a = float(u @ w_star)
-    if abs(a) <= 1e-9:
-        raise DegenerateWStar("w_star has no component along the error direction u")
+    w_star = v2
 
     tasks = []
     for _ in range(T - 2):
@@ -202,66 +184,35 @@ def make_worst_case(
     return seq, (x2.copy(), float(x2 @ w_star))
 
 
-def _rotation_onto(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix mapping unit vector x to unit vector y."""
-    d = x.shape[0]
-    s = x + y
-    denom = 1.0 + float(x @ y)
-    if abs(denom) < 1e-12:
-        # x = -y: reflect through the hyperplane orthogonal to x.
-        return np.eye(d) - 2.0 * np.outer(x, x)
-    return np.eye(d) - np.outer(s, s) / denom + 2.0 * np.outer(y, x)
-
-
-def make_avg_case_3d(
-    epsilon: float = EPSILON_3D, w_star=None
-) -> tuple[Subspace, Subspace, dict]:
+def make_avg_case_3d(epsilon: float = EPSILON_3D) -> tuple[Subspace, Subspace, dict]:
     """Two-task 3D construction where one replayed sample hurts on average.
 
     Task 1 is span{v1, u} with u = eps v2 + sqrt(1-eps^2) v3; task 2 is
     span{v3}. The unit vector p1 = sqrt(1-eps^2) v2 - eps v3 spans task 1's
-    null space. If w* has no component along the default p1, the basis is
-    rotated so that it does.
+    null space, and the target is w* = p1 itself, so a = p1.w* = 1.
 
     Returns:
         (task1_subspace, task2_subspace, {"p1": p1, "a": p1.w*}).
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
-    if w_star is None:
-        # Default target: the null direction itself, giving a = 1.
-        w_star = np.array([0.0, math.sqrt(1.0 - epsilon**2), -epsilon])
-    w_star = as_vector(w_star, "w_star")
-    if w_star.shape[0] != 3:
-        raise DimensionMismatch("the 3D construction needs w_star in R^3")
-
     basis = np.eye(3)
     comp = math.sqrt(1.0 - epsilon**2)
     p1 = comp * basis[:, 1] - epsilon * basis[:, 2]
-    a = float(p1 @ w_star)
-    if abs(a) <= 1e-9:
-        norm = np.linalg.norm(w_star)
-        if norm <= 1e-9:
-            raise DegenerateWStar("w_star is (numerically) zero")
-        # Rotate the basis so the null direction p1 lines up with w*.
-        basis = _rotation_onto(p1, w_star / norm) @ basis
-        p1 = comp * basis[:, 1] - epsilon * basis[:, 2]
-        a = float(p1 @ w_star)
-
+    a = float(p1 @ p1)
     u = epsilon * basis[:, 1] + comp * basis[:, 2]
     s1 = Subspace(np.column_stack([basis[:, 0], u]))
     s2 = Subspace(basis[:, 2:3])
     return s1, s2, {"p1": p1, "a": a}
 
 
-def make_avg_case_highdim(
-    d: int, epsilon: float, w_star=None
-) -> tuple[Subspace, Subspace, dict]:
+def make_avg_case_highdim(d: int, epsilon: float) -> tuple[Subspace, Subspace, dict]:
     """High-dimensional two-task construction (rank d-1 then rank 1).
 
     Task 1 is span{u, v1, v3, ..., v_{d-1}} with u = eps v2 +
     sqrt(1-eps^2) v_d; task 2 is span{v_d}. The unit vector
-    u_perp = sqrt(1-eps^2) v2 - eps v_d spans task 1's null space.
+    u_perp = sqrt(1-eps^2) v2 - eps v_d spans task 1's null space, and the
+    target is w* = u_perp itself, so a = u_perp.w* = 1.
 
     Returns:
         (task1_subspace, task2_subspace, {"u_perp": u_perp, "a": u_perp.w*}).
@@ -277,11 +228,6 @@ def make_avg_case_highdim(
     u_perp = np.zeros(d)
     u_perp[1] = comp
     u_perp[d - 1] = -epsilon
-    if w_star is None:
-        w_star = u_perp.copy()
-    w_star = as_vector(w_star, "w_star")
-    if w_star.shape[0] != d:
-        raise DimensionMismatch(f"w_star has dim {w_star.shape[0]}, expected {d}")
 
     # One identity: each column view keeps its whole d x d base array alive.
     eye = np.eye(d)
@@ -290,7 +236,7 @@ def make_avg_case_highdim(
     s2 = Subspace(eye[:, d - 1 : d])
     if not np.max(np.abs(s1.basis.T @ u_perp)) < 1e-10:
         raise ConsistencyFailure("u_perp no longer spans task 1's null space")
-    a = float(u_perp @ w_star)
+    a = float(u_perp @ u_perp)
     return s1, s2, {"u_perp": u_perp, "a": a}
 
 
@@ -332,32 +278,21 @@ def sample_task(
             raise RankDeficiency(
                 f"sampled rows have rank {rank} < {k} after a re-draw"
             )
-    return Task(X, X @ w_star, source_subspace=s)
+    return Task(X, X @ w_star)
 
 
-def make_angle_pair(
-    theta: float, d: int, w_star=None
-) -> tuple[Subspace, Subspace]:
+def make_angle_pair(theta: float, d: int) -> tuple[Subspace, Subspace]:
     """Two rank-(d-1) tasks whose null-space directions meet at ``theta``.
 
-    The null directions a1, a2 satisfy a1.a2 = cos(theta); a1 is aligned
-    with w* whenever the default choice would be orthogonal to it.
+    The null directions are a1 = v1 and a2 = cos(theta) v1 + sin(theta) v2.
     """
     if not (0.0 <= theta <= math.pi / 2.0 + 1e-12):
         raise InvalidAngle(f"theta must be in [0, pi/2], got {theta}")
     if d < 2:
         raise InvalidDimension(f"angle pair needs d >= 2, got {d}")
-    a1 = np.eye(d)[:, 0]
-    if w_star is not None:
-        w_star = as_vector(w_star, "w_star")
-        norm = np.linalg.norm(w_star)
-        if norm > 1e-9 and abs(a1 @ w_star) <= 1e-9:
-            a1 = w_star / norm
-    # Any unit vector orthogonal to a1 completes the rotation plane.
-    j = int(np.argmin(np.abs(a1)))
-    b = np.eye(d)[:, j] - (a1[j]) * a1
-    b /= np.linalg.norm(b)
-    a2 = math.cos(theta) * a1 + math.sin(theta) * b
+    eye = np.eye(d)
+    a1 = eye[:, 0]
+    a2 = math.cos(theta) * a1 + math.sin(theta) * eye[:, 1]
     s1 = complement_basis(Subspace(a1[:, None]))
     s2 = complement_basis(Subspace(a2[:, None]))
     return s1, s2

@@ -3,7 +3,6 @@ import pytest
 
 from continual_replay.errors import (
     DimensionMismatch,
-    Diverged,
     InvalidParameters,
     NotConverged,
     NotEnoughSamples,
@@ -83,14 +82,24 @@ def _gd_epochs(w0, X, y, lr, epochs):
 
 
 def _gd_test_systems():
-    """(X, y, w0) with n < d, n > d, and one row within 1e-7 of another."""
+    """(X, y, w0) with n < d, n > d, one row within 1e-7 of another, and that
+    near-duplicate row again with a 1e-3 label inconsistency.
+
+    The last one moves along a direction with lr s^2 near 1e-14, where the
+    power form 1 - (1 - lr s^2)^K loses its digits: 1.7e-10 relative to the
+    loop at K = 3000, against 7.6e-14 for the expm1/log1p form."""
     rng = np.random.default_rng(40)
     d = 8
     w_star = rng.standard_normal(d)
     wide = rng.standard_normal((3, d))
     tall = rng.standard_normal((12, d))
     dependent = np.vstack([wide, wide[0] + 1e-7 * rng.standard_normal(d)])
-    return [(X, X @ w_star, rng.standard_normal(d)) for X in (wide, tall, dependent)]
+    systems = [(X, X @ w_star, rng.standard_normal(d)) for X in (wide, tall, dependent)]
+    X, y, w0 = systems[-1]
+    inconsistent = y.copy()
+    inconsistent[-1] += 1e-3
+    systems.append((X, inconsistent, w0))
+    return systems
 
 
 def _rate(scale, *Xs):
@@ -168,21 +177,11 @@ def test_fit_gd_not_converged():
         fit_gd(np.zeros(8), task, GdConfig(learning_rate=1e-6, epochs=5))
 
 
-def test_sgd_diverges_with_huge_rate():
-    rng = np.random.default_rng(11)
-    task = _random_consistent_task(rng, 6, 4, rng.standard_normal(4))
-    cfg = GdConfig(learning_rate=5.0, epochs=2000, batch_size=2)
-    with pytest.raises(Diverged):
-        fit_gd(np.zeros(4), task, cfg, rng=np.random.default_rng(0))
-
-
 def test_gd_config_validation():
     with pytest.raises(InvalidParameters):
         GdConfig(epochs=0)
     with pytest.raises(InvalidParameters):
         GdConfig(learning_rate=-0.1)
-    with pytest.raises(InvalidParameters):
-        GdConfig(batch_size=-1)
 
 
 # ---------------------------------------------------------------- replay
@@ -270,24 +269,6 @@ def test_run_sequence_solvers_agree_with_replay():
         seq, replay=replay, solver="gd", gd_config=cfg, rng=np.random.default_rng(5)
     ).w
     np.testing.assert_allclose(w_gd, w_closed, atol=1e-4)
-
-
-def test_sgd_replay_fits_joint_system():
-    rng = np.random.default_rng(30)
-    d = 6
-    w_star = rng.standard_normal(d)
-    t1 = _random_consistent_task(rng, 2, d, w_star)
-    t2 = _random_consistent_task(rng, 2, d, w_star)
-    seq = TaskSequence((t1, t2), w_star)
-    cfg = GdConfig(learning_rate=None, epochs=200000, batch_size=1, convergence_tol=1e-8)
-    state = run_sequence(
-        seq,
-        replay=(1, UniformWithoutReplacement()),
-        solver="gd",
-        gd_config=cfg,
-        rng=np.random.default_rng(6),
-    )
-    assert seq.tasks[1].residual(state.w) <= 1e-6
 
 
 def test_replay_memory_validation():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from continual_replay.errors import (
-    DegenerateWStar,
     InconsistentSystem,
     InvalidAngle,
     InvalidDimension,
@@ -58,9 +57,6 @@ def test_worst_case_errors():
         make_worst_case(3, 2)
     with pytest.raises(InvalidParameters):
         make_worst_case(1, 3)
-    # w* with no component along the forgotten direction is degenerate
-    with pytest.raises(DegenerateWStar):
-        make_worst_case(3, 3, w_star=np.array([1.0, 0.0, 0.0]))
 
 
 def test_worst_case_final_task_spans_complement():
@@ -85,15 +81,6 @@ def test_avg_case_3d_geometry():
     np.testing.assert_allclose(total, np.eye(3), atol=1e-12)
     assert info["a"] == pytest.approx(1.0)
     assert EPSILON_3D == pytest.approx(math.sqrt(1.0 / 63.0))
-
-
-def test_avg_case_3d_rotates_degenerate_w_star():
-    s1, s2, info = make_avg_case_3d(w_star=np.array([1.0, 0.0, 0.0]))
-    assert abs(info["a"]) > 1e-9
-    p1 = info["p1"]
-    np.testing.assert_allclose(s1.basis.T @ p1, np.zeros(2), atol=1e-10)
-    with pytest.raises(DegenerateWStar):
-        make_avg_case_3d(w_star=np.zeros(3))
 
 
 def test_avg_case_highdim_geometry():
@@ -127,7 +114,6 @@ def test_sample_task_shapes_and_rank(seed):
     assert task.X.shape == (5, 7)
     assert orthonormal_basis(task.X).rank == 3
     assert task.residual(w_star) <= 1e-9
-    assert task.source_subspace is s
 
 
 def test_sample_task_too_few():
@@ -178,6 +164,4 @@ def test_task_sequence_validation():
     assert len(seq) == 1
     with pytest.raises(InconsistentSystem):
         TaskSequence((Task(X=X, y=np.array([5.0])),), w_star)
-    with pytest.raises(InvalidParameters):
-        TaskSequence((Task(X=X, y=X @ w_star),), w_star, unit_norm_w_star=True)
 
