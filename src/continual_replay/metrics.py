@@ -5,9 +5,11 @@ first T-1 tasks (the final task is fit exactly, so it never contributes).
 Three variants are exposed: squared error on the training rows themselves,
 squared error on freshly drawn rows from the task subspaces, and the exact
 expectation of the fresh-sample variant, which reduces to projector
-algebra. On top of these sit the two-task replay expectation (Monte Carlo)
-and the benign-replay certificate with its trace-form exact expectation
-over standard-normal targets.
+algebra. On top of these sit the two-task replay expectation (Monte Carlo,
+computed per trial in the orthonormal coordinates of task 1 plus the part
+of task 2 outside it, so no trial forms a d-vector) and the benign-replay
+certificate with its trace-form exact expectation over standard-normal
+targets.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from .task_gen import TaskSequence, sample_task
 
 _VARIANTS = ("train_samples", "test_samples", "closed_form")
 
-# Trials per stacked SVD in the replay Monte Carlo kernel. Larger chunks
+# Trials per batched QR in the replay Monte Carlo kernel. Larger chunks
 # gain little speed and add their buffers to the process's peak memory, so a
-# chunk also holds at most _REPLAY_CHUNK_ENTRIES matrix entries (8 MB): at
-# d = 3000, m = 150, 512 trials would need 1.9 GB per buffer.
+# chunk also holds at most _REPLAY_CHUNK_ENTRIES matrix entries (8 MB). A
+# trial holds k1 * max(m, k2) entries per buffer (Z and its Q factor are
+# m x k1, B~ is k1 x k2): at d = 3000, m = 150, 512 trials would need
+# 1.8 GB per buffer.
 _REPLAY_CHUNK = 512
 _REPLAY_CHUNK_ENTRIES = 2**20
 # Draws per vectorized block in forgetting_test_mean.
@@ -178,16 +182,27 @@ def expected_replay_forgetting_two_tasks(
 ) -> dict:
     """Monte Carlo replay forgetting for a two-task sequence.
 
-    Each trial draws m memory rows from the first task's sampling law,
-    forms the augmented null projector of task 2 from the exact union
-    span, and evaluates ||Pi_1 P~_2 P_1 w*||^2.
+    Each trial draws m memory rows W1 z_i, z_i ~ N(0, I / k1) (the first
+    task's sampling law; the z_i are the rows of Z), and evaluates
+    ||Pi_1 P~_2 P_1 w*||^2, where P~_2 is the null projector of task 2
+    augmented with those rows.
+
+    The kernel never forms a d-vector per trial. Split
+    W2 = W1 B + Q S with B = W1^T W2, Q an orthonormal basis of P_1 W2 and
+    S = Q^T P_1 W2. With Qz an orthonormal basis of span Z^T (a thin
+    Householder QR) and B~ = (I - Qz Qz^T) B, the union span is
+    span(W1 Qz) + span(W1 B~ + Q S), the two parts orthogonal. Since
+    q = P_1 w* is orthogonal to span W1, W1^T P~_2 q = -B~ y with y the
+    pseudo-inverse solution of (B~^T B~ + S^T S) y = S^T Q^T q. The
+    pseudo-inverse keeps the eigen-directions whose square-rooted
+    eigenvalue passes ``rank_mask`` (1e-10 of the largest). Only the
+    k2-column [B~; S] is squared; ``Z`` enters through an orthogonal
+    factorization, never through Z Z^T.
 
     Trials run in chunks of up to ``_REPLAY_CHUNK``. A chunk draws all of its
     replay coefficients in one call, which consumes ``rng`` in the same
-    order as one draw per trial, stacks the (k2 + m) x d matrices
-    [W2^T; Z W1^T], and takes one stacked SVD. The union span of each
-    trial is the set of right singular vectors whose singular value
-    exceeds 1e-10 times that trial's largest one (``rank_mask``).
+    order as one draw per trial, and factors the stacked k1 x m matrices
+    Z^T in one batched QR.
 
     Returns:
         {"mean", "std_err", "trials"} of the per-trial values.
@@ -204,24 +219,28 @@ def expected_replay_forgetting_two_tasks(
     k1 = s1.rank
     if k1 == 0:
         raise InvalidParameters("the first task subspace is trivial")
-    W1 = s1.basis
-    k2 = s2.rank
+    W1, W2 = s1.basis, s2.basis
     q = w_star - W1 @ (W1.T @ w_star)  # P_1 w*
+    B = W1.T @ W2
+    C0 = W2 - W1 @ B  # P_1 W2
+    Q = orthonormal_basis(C0.T).basis
+    S = Q.T @ C0
+    c = S.T @ (Q.T @ q)
+    StS = S.T @ S
     scale = 1.0 / math.sqrt(k1)
     values = np.empty(trials)
-    per_trial = (k2 + m) * s1.ambient_dim
-    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // per_trial))
+    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // (k1 * max(m, s2.rank))))
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
         Z = rng.standard_normal((size, m, k1)) * scale
-        stacked = np.empty((size, k2 + m, s1.ambient_dim))
-        stacked[:, :k2] = s2.basis.T
-        stacked[:, k2:] = Z @ W1.T
-        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-        keep = rank_mask(svals)
-        coef = (vh @ q) * keep
-        p = q - (coef[:, None, :] @ vh)[:, 0]  # P~_2 P_1 w*
-        values[start : start + size] = np.sum((p @ W1) ** 2, axis=1)
+        Qz = np.linalg.qr(Z.transpose(0, 2, 1)).Q
+        Bt = B - Qz @ (Qz.transpose(0, 2, 1) @ B)  # B~, size x k1 x k2
+        evals, evecs = np.linalg.eigh(Bt.transpose(0, 2, 1) @ Bt + StS)
+        evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
+        keep = rank_mask(np.sqrt(np.clip(evals, 0.0, None)))
+        inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)
+        y = evecs @ (inv * (c @ evecs))[:, :, None]
+        values[start : start + size] = np.sum((Bt @ y) ** 2, axis=(1, 2))
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return {"mean": mean, "std_err": std_err, "trials": trials}

@@ -21,6 +21,11 @@ from .linalg_core import as_matrix, as_vector
 CLAIM_C2_BOUND = 1.4
 # sup of 63 x - 62 x^2 over x in [0, 1], attained at x = 63/124
 CLAIM_C2_STAT_MAX = 63.0**2 / (4.0 * 62.0)
+# Probability that a random-projection tail check fails although the true
+# tail frequency is at or below its bound.
+TAIL_FALSE_ALARM = 1e-6
+# Rows per block of tail draws: at d = 152 a block and its squares take 5 MB.
+_TAIL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,40 @@ def projection_tail_bound(m: int, t: float) -> float:
     return math.exp(m * (1.0 - t + math.log(t)) / 2.0)
 
 
+def binomial_upper_tail(n: int, p: float, k: int) -> float:
+    """P[X >= k] for X ~ Binomial(n, p), summed term by term in pure Python.
+
+    Sums the shorter side of the distribution: the upper tail from k when
+    k is at or above the mean, else one minus the lower tail from k - 1.
+    The first term comes from lgamma, the rest from the pmf ratio, and the
+    sum stops once a term no longer moves it.
+    """
+    if k <= 0 or p >= 1.0:
+        return 1.0
+    if k > n or p <= 0.0:
+        return 0.0
+    upper = k >= n * p
+    j = k if upper else k - 1
+    log_pmf = (
+        math.lgamma(n + 1)
+        - math.lgamma(j + 1)
+        - math.lgamma(n - j + 1)
+        + j * math.log(p)
+        + (n - j) * math.log1p(-p)
+    )
+    term, total = math.exp(log_pmf), 0.0
+    odds = p / (1.0 - p)
+    while 0 <= j <= n and total + term != total:
+        total += term
+        if upper:
+            term *= (n - j) / (j + 1) * odds
+            j += 1
+        else:
+            term *= j / (n - j + 1) / odds
+            j -= 1
+    return min(1.0, total) if upper else max(0.0, 1.0 - total)
+
+
 def oracle_random_projection_tails(
     d: int, m: int, trials: int, rng=None
 ) -> list[OracleVerdict]:
@@ -134,8 +173,11 @@ def oracle_random_projection_tails(
 
     Samples uniform unit vectors in R^{d-1} and measures the squared norm
     of the first m coordinates. Checks P[stat <= t m/(d-1)] at t = 1/30
-    and P[stat >= t m/(d-1)] at t = 5 against exp(m(1-t+ln t)/2), each
-    with a 3-sigma binomial slack on the empirical frequency.
+    and P[stat >= t m/(d-1)] at t = 5 against exp(m(1-t+ln t)/2). A check
+    fails when its event count is improbable for a frequency at the bound:
+    when P[Binomial(trials, bound) >= count] < ``TAIL_FALSE_ALARM``
+    (1e-6). A true frequency at or below the bound then fails a check with
+    probability at most 1e-6.
     """
     if m >= d - 1:
         raise InvalidParameters("requires m < d - 1")
@@ -149,7 +191,7 @@ def oracle_random_projection_tails(
     thr_high = t_high * m / (d - 1)
     done = 0
     while done < trials:
-        size = min(50000, trials - done)
+        size = min(_TAIL_CHUNK, trials - done)
         g = gen.standard_normal((size, d - 1))
         sq = g**2
         stat = sq[:, :m].sum(axis=1) / sq.sum(axis=1)
@@ -162,14 +204,12 @@ def oracle_random_projection_tails(
         ("projection_tail_upper", high_count, t_high),
     ):
         bound = projection_tail_bound(m, t)
-        freq = count / trials
-        slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
         verdicts.append(
             OracleVerdict(
                 name=name,
-                observed=freq,
+                observed=count / trials,
                 bound_or_expected=bound,
-                passed=bool(freq <= bound + slack),
+                passed=binomial_upper_tail(trials, bound, count) >= TAIL_FALSE_ALARM,
                 trials=trials,
                 seed=seed,
             )

@@ -192,6 +192,13 @@ def _replay_case(name):
     if name == "3d":
         s1, s2, info = make_avg_case_3d()
         return s1, s2, info["p1"]
+    if name.startswith("rand-"):
+        # a random subspace pair rand-d-k1-k2 and a random target
+        d, k1, k2 = (int(x) for x in name.split("-")[1:])
+        g = np.random.default_rng([d, k1, k2])
+        s1 = orthonormal_basis(g.standard_normal((k1, d)))
+        s2 = orthonormal_basis(g.standard_normal((k2, d)))
+        return s1, s2, g.standard_normal(d)
     s1, s2, info = make_avg_case_highdim(400 if name == "wide" else 152, 0.4)
     return s1, s2, info["u_perp"]
 
@@ -207,7 +214,12 @@ def _replay_case(name):
         ("3d", 1, _REPLAY_CHUNK + 1),
         ("3d", 2, _REPLAY_CHUNK + 1),  # m = rank: replay spans task 1
         ("3d", 5, 300),  # k2 + m > d: the stack has more rows than vh
-        ("wide", 20, 300),  # 21 x 400 stacks: the entry cap gives 124-trial chunks
+        ("wide", 20, 300),  # 399 x 20 replay blocks: the entry cap gives 131-trial chunks
+        ("rand-8-6-4", 1, 300),  # k1 + k2 > d: P_1 W2 has rank 2 < k2
+        ("rand-8-6-4", 3, 300),
+        ("rand-12-5-5", 4, 300),
+        ("rand-8-6-4", 9, 300),  # m > k1: replay spans task 1
+        ("rand-10-4-3", 2, _REPLAY_CHUNK + 1),  # k2 = 3 across a chunk boundary
     ],
 )
 def test_chunked_replay_kernel_matches_per_trial_loop(case, m, trials):

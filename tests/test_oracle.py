@@ -5,11 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from continual_replay import oracle
+from continual_replay.cli_harness import main
 from continual_replay.errors import InconsistentSystem, InvalidParameters
 from continual_replay.learner import fit_closed_form
 from continual_replay.linalg_core import min_norm_solve
 from continual_replay.oracle import (
     CLAIM_C2_STAT_MAX,
+    binomial_upper_tail,
     claim_c2_statistics,
     oracle_claim_c2,
     oracle_min_norm,
@@ -106,6 +109,39 @@ def test_oracle_projection_tails_pass():
         assert v.observed <= v.bound_or_expected + 3.0 * math.sqrt(
             v.bound_or_expected * (1.0 - v.bound_or_expected) / v.trials
         )
+
+
+# One lower-tail event at d = 152 in the first 1e4 draws of this seed; a
+# 3-sigma normal slack around p = 5.2e-6 admitted none.
+RARE_EVENT_SEED = 155376646
+
+
+def test_binomial_upper_tail_matches_direct_sum():
+    for n, p in ((12, 0.3), (40, 0.01), (7, 0.9)):
+        pmf = [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
+        for k in range(-1, n + 2):
+            expect = sum(pmf[max(k, 0) :])
+            assert binomial_upper_tail(n, p, k) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+def test_tail_check_admits_one_rare_event(tmp_path):
+    lo, hi = oracle_random_projection_tails(152, 10, 10**4, RARE_EVENT_SEED)
+    assert lo.observed * lo.trials == 1 and lo.passed and hi.passed
+    argv = ["oracles", "--trials", "10000", "--seed", str(RARE_EVENT_SEED)]
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_tail_check_fails_a_bound_100x_too_small(monkeypatch):
+    # The same seed's draws, run to the default 1e5 trials: 45 lower-tail
+    # events at d = 31 where a bound divided by 100 expects 2.3. (In the
+    # first 1e4 draws the counts are 1 and 2, which no rule at a 1e-6 false
+    # alarm rate can reject against bound / 100.)
+    lo, _ = oracle_random_projection_tails(31, 5, 10**5, RARE_EVENT_SEED)
+    assert lo.passed
+    true_bound = oracle.projection_tail_bound
+    monkeypatch.setattr(oracle, "projection_tail_bound", lambda m, t: true_bound(m, t) / 100.0)
+    lo, _ = oracle_random_projection_tails(31, 5, 10**5, RARE_EVENT_SEED)
+    assert lo.observed * lo.trials == 45 and not lo.passed
 
 
 # -------------------------------------------------------- projector sandwich
