@@ -12,19 +12,13 @@ experiments.
 from .errors import (
     ConfigurationError,
     ConsistencyFailure,
-    ConstraintViolation,
     ContinualReplayError,
     DimensionMismatch,
     InconsistentSystem,
-    InvalidAngle,
-    InvalidDimension,
-    InvalidEpsilon,
     InvalidParameters,
     NonFiniteInput,
     NotConverged,
-    NotEnoughSamples,
     RankDeficiency,
-    TooFewSamples,
     TooFewTasks,
 )
 from .learner import (
@@ -44,19 +38,15 @@ from .linalg_core import (
     Subspace,
     complement_basis,
     min_norm_solve,
-    null_projector,
     op_norm,
     orthonormal_basis,
     principal_angles,
-    projector_onto,
 )
 from .metrics import (
-    ForgettingReport,
     benign_replay_certificate,
     expected_forgetting_closed_form,
     expected_forgetting_trace_form,
     expected_replay_forgetting_two_tasks,
-    forgetting_test,
     forgetting_test_mean,
     forgetting_train,
     replay_null_projector,
@@ -86,19 +76,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigurationError",
     "ConsistencyFailure",
-    "ConstraintViolation",
     "ContinualReplayError",
     "DimensionMismatch",
     "InconsistentSystem",
-    "InvalidAngle",
-    "InvalidDimension",
-    "InvalidEpsilon",
     "InvalidParameters",
     "NonFiniteInput",
     "NotConverged",
-    "NotEnoughSamples",
     "RankDeficiency",
-    "TooFewSamples",
     "TooFewTasks",
     "Fixed",
     "GdConfig",
@@ -114,17 +98,13 @@ __all__ = [
     "Subspace",
     "complement_basis",
     "min_norm_solve",
-    "null_projector",
     "op_norm",
     "orthonormal_basis",
     "principal_angles",
-    "projector_onto",
-    "ForgettingReport",
     "benign_replay_certificate",
     "expected_forgetting_closed_form",
     "expected_forgetting_trace_form",
     "expected_replay_forgetting_two_tasks",
-    "forgetting_test",
     "forgetting_test_mean",
     "forgetting_train",
     "replay_null_projector",

@@ -29,7 +29,6 @@ from . import __version__
 from .errors import (
     ConfigurationError,
     ConsistencyFailure,
-    ConstraintViolation,
     ContinualReplayError,
     InvalidParameters,
 )
@@ -89,12 +88,11 @@ class ExperimentConfig:
     params: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
     rows: list[dict]
     analytic_predictions: dict
-    wallclock: float
     # Deterministic counts that explain the run's numbers, for the sidecar.
     diagnostics: dict = field(default_factory=dict)
 
@@ -166,7 +164,7 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     def run(fixed_pair=None):
         replay = None if fixed_pair is None else (1, Fixed((fixed_pair,)))
         state = run_sequence(seq, replay=replay, solver=solver, gd_config=gd_cfg)
-        return state.w, forgetting_train(seq, state.w).average
+        return state.w, forgetting_train(seq, state.w)
 
     x2_pair = (T - 2, 1)
     x1_pair = (T - 2, 0)
@@ -213,7 +211,7 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
         "projector_no_replay": proj_no,
         "projector_replay_x2": proj_x2,
     }
-    return ExperimentResult(cfg, rows, analytic, 0.0)
+    return ExperimentResult(cfg, rows, analytic)
 
 
 def _two_task_case(d: int, epsilon: float | None):
@@ -256,17 +254,17 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
         "seed": seed,
     }
     analytic = {"no_replay": base, "ratio_lower_bound": 1.4}
-    return ExperimentResult(cfg, [row], analytic, 0.0)
+    return ExperimentResult(cfg, [row], analytic)
 
 
 def _check_highdim_constraints(d: int, m: int) -> None:
     if not C1 < d:
-        raise ConstraintViolation(f"requires c1 < d: {C1} >= {d}")
+        raise InvalidParameters(f"requires c1 < d: {C1} >= {d}")
     if not C2 * m < d - 1:
-        raise ConstraintViolation(f"requires c2*m < d-1: {C2 * m} >= {d - 1}")
+        raise InvalidParameters(f"requires c2*m < d-1: {C2 * m} >= {d - 1}")
     # Compared in log space: exp(m ln m) overflows a float from m = 144 on.
     if not math.log(d - 1) + math.log(C3) < m * math.log(m):
-        raise ConstraintViolation(
+        raise InvalidParameters(
             f"requires d-1 < exp(m ln m)/c3: {d - 1} >= {math.exp(m * math.log(m)) / C3}"
         )
 
@@ -298,7 +296,7 @@ def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
         "seed": seed,
     }
     analytic = {"no_replay": base}
-    return ExperimentResult(cfg, [row], analytic, 0.0)
+    return ExperimentResult(cfg, [row], analytic)
 
 
 def _fit_two_task(seq: TaskSequence, mem: ReplayMemory | None, solver: str):
@@ -384,7 +382,7 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     analytic = {"no_replay": base, "full_span_replay": 0.0}
     # The sidecar echoes the defaults this command resolved from --d.
     resolved = replace(cfg, params={**p, "epsilon": eps, "trials": trials})
-    return ExperimentResult(resolved, rows, analytic, 0.0)
+    return ExperimentResult(resolved, rows, analytic)
 
 
 def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
@@ -434,7 +432,7 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         "grid_step": step,
         "peak_value": 0.25,
     }
-    return ExperimentResult(cfg, rows, analytic, 0.0)
+    return ExperimentResult(cfg, rows, analytic)
 
 
 def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
@@ -510,7 +508,7 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
         "violations": violations_total,
     }
     diagnostics = {"vacuous_subsets": vacuous_subsets, "pairs_all_vacuous": pairs_all_vacuous}
-    return ExperimentResult(cfg, rows, analytic, 0.0, diagnostics)
+    return ExperimentResult(cfg, rows, analytic, diagnostics)
 
 
 def cmd_oracles(cfg: ExperimentConfig) -> ExperimentResult:
@@ -558,7 +556,7 @@ def cmd_oracles(cfg: ExperimentConfig) -> ExperimentResult:
     ]
     _require(all(v.passed for v in verdicts), "an oracle check failed")
     analytic = {"verdicts": len(rows)}
-    return ExperimentResult(cfg, rows, analytic, 0.0)
+    return ExperimentResult(cfg, rows, analytic)
 
 
 # ------------------------------------------------------------------ plumbing
@@ -757,7 +755,7 @@ def main(argv: list[str] | None = None) -> int:
         # Through the module namespace, so a wrapper installed on a cmd_*
         # attribute (a profiler, a test double) is the one that runs.
         result = globals()[_COMMANDS[cfg.command].handler](cfg)
-        result.wallclock = time.perf_counter() - t0
+        wallclock = time.perf_counter() - t0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -772,7 +770,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    print(f"[{cfg.command}] wallclock {result.wallclock:.3f}s", file=sys.stderr)
+    print(f"[{cfg.command}] wallclock {wallclock:.3f}s", file=sys.stderr)
     return 0
 
 

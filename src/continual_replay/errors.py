@@ -31,28 +31,8 @@ class InconsistentSystem(ContinualReplayError):
     """The linear system X w = y has no exact solution (realizability violated)."""
 
 
-class InvalidDimension(ConfigurationError):
-    """Ambient dimension too small for the requested construction."""
-
-
-class InvalidEpsilon(ConfigurationError):
-    """Construction parameter epsilon outside its admissible interval."""
-
-
-class TooFewSamples(ConfigurationError):
-    """Fewer samples requested than the subspace rank requires."""
-
-
 class RankDeficiency(ContinualReplayError):
     """Sampled rows failed to reach the subspace rank even after a re-draw."""
-
-
-class InvalidAngle(ConfigurationError):
-    """Angle parameter outside [0, pi/2]."""
-
-
-class NotEnoughSamples(ConfigurationError):
-    """Replay selection asked for more samples than earlier tasks provide."""
 
 
 class NotConverged(ContinualReplayError):
@@ -64,8 +44,5 @@ class TooFewTasks(ContinualReplayError):
 
 
 class InvalidParameters(ConfigurationError):
-    """Generic parameter validation failure."""
-
-
-class ConstraintViolation(ConfigurationError):
-    """A named constant constraint of the high-dimensional regime is violated."""
+    """A parameter outside its admissible range: a dimension, epsilon, angle,
+    sample count, replay size, or a constraint of the high-dimensional regime."""

@@ -16,16 +16,11 @@ not change the span).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameters,
-    NotConverged,
-    NotEnoughSamples,
-)
+from .errors import DimensionMismatch, InvalidParameters, NotConverged
 from .linalg_core import as_vector, min_norm_solve
 from .task_gen import Task, TaskSequence
 
@@ -53,11 +48,10 @@ class GdConfig:
 
 @dataclass(frozen=True)
 class ReplayMemory:
-    """Stored samples: rows (m x d), labels (m), and where they came from."""
+    """Stored samples: rows (m x d) and their labels (m)."""
 
     rows: np.ndarray
     labels: np.ndarray
-    provenance: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
@@ -66,16 +60,12 @@ class ReplayMemory:
             raise DimensionMismatch(
                 f"{rows.shape[0]} memory rows but {labels.shape[0]} labels"
             )
-        prov = tuple((int(t), int(i)) for t, i in self.provenance)
-        if prov and len(prov) != rows.shape[0]:
-            raise DimensionMismatch("provenance length disagrees with memory size")
         rows = np.array(rows, copy=True)
         rows.flags.writeable = False
         labels = np.array(labels, copy=True)
         labels.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "provenance", prov)
 
     @property
     def size(self) -> int:
@@ -83,7 +73,7 @@ class ReplayMemory:
 
     @classmethod
     def empty(cls, d: int) -> "ReplayMemory":
-        return cls(np.zeros((0, d)), np.zeros(0), ())
+        return cls(np.zeros((0, d)), np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -109,19 +99,15 @@ class LearnerState:
 
     w: np.ndarray
     history: tuple[np.ndarray, ...]
-    d: int = field(default=-1)
 
     def __post_init__(self):
         w = as_vector(self.w, "w")
         hist = tuple(as_vector(h, "history entry") for h in self.history)
-        if self.d not in (-1, w.shape[0]):
-            raise DimensionMismatch("declared d disagrees with the iterate")
         for h in hist:
             if h.shape[0] != w.shape[0]:
                 raise DimensionMismatch("history entries have inconsistent dims")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "history", hist)
-        object.__setattr__(self, "d", w.shape[0])
 
 
 def fit_closed_form(w_prev, task: Task) -> np.ndarray:
@@ -215,8 +201,8 @@ def select_replay(
         policy: UniformWithoutReplacement() or Fixed(pairs).
 
     Raises:
-        NotEnoughSamples: if fewer than m rows are available.
-        InvalidParameters: if Fixed pairs are out of range or disagree with m.
+        InvalidParameters: if fewer than m rows are available, or if Fixed
+            pairs are out of range or disagree with m.
     """
     if not (0 <= upto_task < len(seq)):
         raise InvalidParameters(f"upto_task {upto_task} outside the sequence")
@@ -230,7 +216,7 @@ def select_replay(
     ]
     if isinstance(policy, UniformWithoutReplacement):
         if m > len(pool):
-            raise NotEnoughSamples(f"asked for {m} rows, only {len(pool)} available")
+            raise InvalidParameters(f"asked for {m} rows, only {len(pool)} available")
         if rng is None:
             rng = np.random.default_rng(0)
         chosen = rng.choice(len(pool), size=m, replace=False)
@@ -252,7 +238,7 @@ def select_replay(
         raise InvalidParameters(f"unknown replay policy {policy!r}")
     rows = np.vstack([seq.tasks[t].X[i] for t, i in pairs])
     labels = np.array([seq.tasks[t].y[i] for t, i in pairs])
-    return ReplayMemory(rows, labels, pairs)
+    return ReplayMemory(rows, labels)
 
 
 def augment_with_replay(task: Task, mem: ReplayMemory) -> Task:

@@ -1,20 +1,20 @@
 """Dense subspace and projector algebra.
 
-Everything downstream is built from the five primitives here: SVD-based
-orthonormalization, projector construction, principal angles, operator
+Everything downstream is built from the primitives here: SVD-based
+orthonormalization, orthogonal complements, principal angles, operator
 norms, and minimum-norm linear solves. Vectors and matrices are plain
 float64 numpy arrays; Subspace and Projector are thin immutable wrappers
 that validate their defining invariants on construction.
 
-Rank decisions everywhere use the same relative threshold: singular values
-at or below ``tol * sigma_max`` are treated as zero, with ``tol = 1e-10``
-by default. The pseudoinverse uses the identical SVD and threshold so that
-projectors and min-norm solutions always agree on rank.
+Every rank decision uses one fixed relative cut-off, ``rank_mask``:
+singular values at or below ``DEFAULT_TOL * sigma_max`` (1e-10 of the
+largest) count as zero. The pseudoinverse uses the identical SVD and
+cut-off, so bases and min-norm solutions always agree on rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,30 +71,30 @@ class Subspace:
     """A k-dimensional subspace of R^d held as an orthonormal basis.
 
     Attributes:
-        basis: d x k matrix whose columns are orthonormal.
-        ambient_dim: d.
-        rank: k, with 0 <= k <= d.
+        basis: d x k matrix whose columns are orthonormal, 0 <= k <= d.
     """
 
     basis: np.ndarray
-    ambient_dim: int = field(default=-1)
-    rank: int = field(default=-1)
 
     def __post_init__(self):
         basis = as_matrix(self.basis, "basis")
         d, k = basis.shape
-        if self.ambient_dim not in (-1, d) or self.rank not in (-1, k):
-            raise DimensionMismatch(
-                f"declared (ambient_dim, rank) disagree with basis shape {basis.shape}"
-            )
         object.__setattr__(self, "basis", _frozen(basis))
-        object.__setattr__(self, "ambient_dim", d)
-        object.__setattr__(self, "rank", k)
-        if not (0 <= k <= d):
+        if k > d:
             raise DimensionMismatch(f"rank {k} outside [0, {d}]")
         gram = basis.T @ basis
         if k and np.max(np.abs(gram - np.eye(k))) > PROJECTOR_TOL:
             raise DimensionMismatch("basis columns are not orthonormal")
+
+    @property
+    def ambient_dim(self) -> int:
+        """d, the number of basis rows."""
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """k, the number of basis columns."""
+        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -121,46 +121,32 @@ class Projector:
         return self.matrix.shape[0]
 
 
-def rank_mask(svals: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Which singular values count as nonzero: those above ``tol`` times the largest.
+def rank_mask(svals: np.ndarray) -> np.ndarray:
+    """Which singular values count as nonzero: above ``DEFAULT_TOL`` times the largest.
 
     ``svals`` is sorted descending along its last axis, as ``np.linalg.svd``
     returns it; a stack of spectra gets one relative cut-off per spectrum.
     """
-    return svals > tol * svals[..., :1]
+    return svals > DEFAULT_TOL * svals[..., :1]
 
 
-def orthonormal_basis(rows, tol: float = DEFAULT_TOL) -> Subspace:
+def orthonormal_basis(rows) -> Subspace:
     """Orthonormal basis for the row span of ``rows``.
 
     Args:
         rows: n x d matrix; its row span defines the subspace.
-        tol: relative rank threshold; singular values <= tol * sigma_max
-            count as zero.
 
     Returns:
-        Subspace of R^d with rank equal to the numerical rank of ``rows``.
+        Subspace of R^d with rank equal to the numerical rank of ``rows``
+        (``rank_mask``).
     """
     mat = as_matrix(rows, "rows")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     d = mat.shape[1]
     if mat.shape[0] == 0:
         return Subspace(np.zeros((d, 0)))
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(rank_mask(s, tol)))
+    rank = int(np.sum(rank_mask(s)))
     return Subspace(vh[:rank].T)
-
-
-def projector_onto(s: Subspace) -> Projector:
-    """The projector W W^T onto the span of ``s``."""
-    return Projector(s.basis @ s.basis.T)
-
-
-def null_projector(p: Projector) -> Projector:
-    """The complementary projector I - P."""
-    d = p.ambient_dim
-    return Projector(np.eye(d) - p.matrix)
 
 
 def complement_basis(s: Subspace) -> Subspace:
@@ -176,9 +162,12 @@ def complement_basis(s: Subspace) -> Subspace:
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     """Principal angles between two subspaces, in radians, ascending.
 
-    Computed as arccos of the singular values of W_a^T W_b, clamped to
-    [0, 1] to absorb roundoff. The result has min(rank a, rank b) entries,
-    all in [0, pi/2].
+    The sine/cosine split (Bjorck & Golub 1973; Knyazev & Argentati 2002):
+    with rank a >= rank b, the cosines are the singular values of
+    W_a^T W_b and the sines those of (I - W_a W_a^T) W_b. An angle below
+    pi/4 is the arcsin of its sine, any other the arccos of its cosine, so
+    neither end loses digits (arccos alone returns 0 below about 1e-8).
+    The result has min(rank a, rank b) entries, all in [0, pi/2].
 
     Raises:
         DimensionMismatch: if the ambient dimensions differ.
@@ -187,12 +176,17 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
         raise DimensionMismatch(
             f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    if a.rank == 0 or b.rank == 0:
+    if a.rank < b.rank:
+        a, b = b, a
+    if b.rank == 0:
         return np.zeros(0)
-    cosines = np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)
-    cosines = np.clip(cosines, 0.0, 1.0)
-    # Singular values come out descending, so arccos is already ascending.
-    return np.arccos(cosines)
+    cross = a.basis.T @ b.basis
+    # Both come out descending: cosines pair with the ascending angles,
+    # sines with the descending ones.
+    cosines = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+    sines = np.linalg.svd(b.basis - a.basis @ cross, compute_uv=False)
+    sines = np.clip(sines[::-1], 0.0, 1.0)
+    return np.where(sines * sines < 0.5, np.arcsin(sines), np.arccos(cosines))
 
 
 def op_norm(m) -> float:
@@ -203,7 +197,7 @@ def op_norm(m) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
-def min_norm_solve(X, y, tol: float = DEFAULT_TOL) -> np.ndarray:
+def min_norm_solve(X, y) -> np.ndarray:
     """Minimum-Euclidean-norm solution of the consistent system X w = y.
 
     Returns X^+ y computed through the shared SVD rank threshold; the
@@ -225,7 +219,7 @@ def min_norm_solve(X, y, tol: float = DEFAULT_TOL) -> np.ndarray:
     if mat.shape[0] == 0:
         return np.zeros(d)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(rank_mask(s, tol)))
+    rank = int(np.sum(rank_mask(s)))
     coeffs = u[:, :rank].T @ rhs / s[:rank] if rank else np.zeros(0)
     w = vh[:rank].T @ coeffs
     residual = np.linalg.norm(mat @ w - rhs)

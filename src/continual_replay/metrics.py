@@ -15,15 +15,12 @@ targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, TooFewTasks
 from .linalg_core import Projector, Subspace, as_vector, orthonormal_basis, rank_mask
-from .task_gen import TaskSequence, sample_task
-
-_VARIANTS = ("train_samples", "test_samples", "closed_form")
+from .task_gen import TaskSequence
 
 # Trials per batched QR in the replay Monte Carlo kernel. Larger chunks
 # gain little speed and add their buffers to the process's peak memory, so a
@@ -37,63 +34,13 @@ _REPLAY_CHUNK_ENTRIES = 2**20
 _TEST_CHUNK = 20000
 
 
-@dataclass(frozen=True)
-class ForgettingReport:
-    """Per-task squared-error losses on tasks 1..T-1 and their average."""
-
-    per_task_losses: tuple[float, ...]
-    average: float
-    variant: str
-
-    def __post_init__(self):
-        losses = tuple(float(x) for x in self.per_task_losses)
-        if not losses:
-            raise TooFewTasks("a forgetting report needs at least one prior task")
-        if self.variant not in _VARIANTS:
-            raise InvalidParameters(f"unknown variant {self.variant!r}")
-        if min(losses) < 0.0:
-            raise InvalidParameters("squared-error losses cannot be negative")
-        mean = sum(losses) / len(losses)
-        if abs(mean - self.average) > 1e-12 * max(1.0, abs(mean)):
-            raise InvalidParameters("average disagrees with the per-task losses")
-        object.__setattr__(self, "per_task_losses", losses)
-        object.__setattr__(self, "average", float(self.average))
-
-    @property
-    def T(self) -> int:
-        """Sequence length implied by the report (losses cover tasks 1..T-1)."""
-        return len(self.per_task_losses) + 1
-
-
-def forgetting_train(seq: TaskSequence, w) -> ForgettingReport:
+def forgetting_train(seq: TaskSequence, w) -> float:
     """Average squared residual of w on the training rows of tasks 1..T-1."""
     if len(seq) < 2:
         raise TooFewTasks("forgetting needs at least two tasks")
     w = as_vector(w, "w")
-    losses = tuple(task.residual(w) ** 2 for task in seq.tasks[:-1])
-    return ForgettingReport(losses, sum(losses) / len(losses), "train_samples")
-
-
-def forgetting_test(
-    subspaces: list[Subspace],
-    w,
-    w_star,
-    rng: np.random.Generator,
-) -> ForgettingReport:
-    """One fresh-sample draw of forgetting.
-
-    Draws k_t new rows from each of the first T-1 task subspaces and
-    averages the squared residuals of w.
-    """
-    T = len(subspaces)
-    if T < 2:
-        raise TooFewTasks("forgetting needs at least two tasks")
-    w = as_vector(w, "w")
-    w_star = as_vector(w_star, "w_star")
-    losses = tuple(
-        sample_task(s, s.rank, w_star, rng).residual(w) ** 2 for s in subspaces[:-1]
-    )
-    return ForgettingReport(losses, sum(losses) / len(losses), "test_samples")
+    losses = [task.residual(w) ** 2 for task in seq.tasks[:-1]]
+    return sum(losses) / len(losses)
 
 
 def forgetting_test_mean(
@@ -103,12 +50,14 @@ def forgetting_test_mean(
     trials: int,
     rng: np.random.Generator,
 ) -> dict:
-    """Monte Carlo mean of forgetting_test over many independent draws.
+    """Monte Carlo mean of fresh-sample forgetting over many independent draws.
 
-    Vectorizes the identical sampling law: a fresh row W z contributes
-    (z . W^T(w - w*))^2, so each draw's loss is ||Z_t c_t||^2 with
-    c_t = W_t^T (w - w*) and Z_t a k_t x k_t matrix of N(0, 1/k_t)
-    entries. Returns the mean, its standard error, and the trial count.
+    Each draw takes k_t new rows from each of the first T-1 task subspaces
+    under ``sample_task``'s law and averages the squared residuals of w.
+    Vectorized: a fresh row W z contributes (z . W^T(w - w*))^2, so each
+    draw's loss is ||Z_t c_t||^2 with c_t = W_t^T (w - w*) and Z_t a
+    k_t x k_t matrix of N(0, 1/k_t) entries. Returns the mean, its standard
+    error, and the trial count.
     """
     T = len(subspaces)
     if T < 2:

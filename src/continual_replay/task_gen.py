@@ -14,7 +14,7 @@ in the worst case has unit norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,10 @@ from .errors import (
     ConsistencyFailure,
     DimensionMismatch,
     InconsistentSystem,
-    InvalidAngle,
-    InvalidDimension,
-    InvalidEpsilon,
     InvalidParameters,
     RankDeficiency,
-    TooFewSamples,
 )
 from .linalg_core import (
-    DEFAULT_TOL,
     Subspace,
     as_matrix,
     as_vector,
@@ -84,7 +79,6 @@ class TaskSequence:
 
     tasks: tuple[Task, ...]
     w_star: np.ndarray
-    ambient_dim: int = field(default=-1)
 
     def __post_init__(self):
         tasks = tuple(self.tasks)
@@ -92,8 +86,6 @@ class TaskSequence:
             raise InvalidParameters("a task sequence needs at least one task")
         w_star = as_vector(self.w_star, "w_star")
         d = w_star.shape[0]
-        if self.ambient_dim not in (-1, d):
-            raise DimensionMismatch("declared ambient_dim disagrees with w_star")
         for i, task in enumerate(tasks):
             if task.ambient_dim != d:
                 raise DimensionMismatch(f"task {i} has ambient dim {task.ambient_dim} != {d}")
@@ -103,7 +95,10 @@ class TaskSequence:
         frozen.flags.writeable = False
         object.__setattr__(self, "tasks", tasks)
         object.__setattr__(self, "w_star", frozen)
-        object.__setattr__(self, "ambient_dim", d)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.w_star.shape[0]
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -121,44 +116,29 @@ def _unit_filler(basis_tail: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return row / norm
 
 
-def _haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR with sign correction."""
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
-
-
-def make_worst_case(
-    T: int,
-    d: int,
-    rng: np.random.Generator | None = None,
-    random_rotation: bool = False,
-) -> tuple[TaskSequence, tuple[np.ndarray, float]]:
+def make_worst_case(T: int, d: int) -> tuple[TaskSequence, tuple[np.ndarray, float]]:
     """The three-vector sequence whose forgetting does not fade with T.
 
     Tasks 1..T-2 constrain x1 (plus, for d > 3, one random unit filler row
-    inside span{v4..vd} each); task T-1 constrains x1 and x2; the final task
-    constrains x3 together with rows spanning span{v4..vd}. All rows have
-    unit norm. The target is w* = v2, whose component along the forgotten
+    inside span{v4..vd} each, drawn from a fixed ``default_rng(0)`` stream);
+    task T-1 constrains x1 and x2; the final task constrains x3 together
+    with rows spanning span{v4..vd}. All rows have unit norm. The target is w* = v2, whose component along the forgotten
     direction u = sqrt(6/7) v2 - sqrt(1/7) v3 is a = sqrt(6/7). The
     designated replay sample is (x2, x2.w*).
 
     Args:
         T: number of tasks, at least 2.
         d: ambient dimension, at least 3.
-        rng: generator used for filler rows and the optional rotation.
-        random_rotation: replace the canonical basis by a random orthonormal
-            one (basis independence checks).
 
     Returns:
         (sequence, (x2, y2)) where (x2, y2) is the replay sample.
     """
     if d < 3:
-        raise InvalidDimension(f"worst case needs d >= 3, got {d}")
+        raise InvalidParameters(f"worst case needs d >= 3, got {d}")
     if T < 2:
         raise InvalidParameters(f"worst case needs T >= 2, got {T}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    basis = _haar_rotation(d, rng) if random_rotation else np.eye(d)
+    rng = np.random.default_rng(0)
+    basis = np.eye(d)
     v1, v2, v3 = basis[:, 0], basis[:, 1], basis[:, 2]
     tail = basis[:, 3:]
 
@@ -192,18 +172,17 @@ def make_avg_case_3d(epsilon: float = EPSILON_3D) -> tuple[Subspace, Subspace, d
     null space, and the target is w* = p1 itself, so a = p1.w* = 1.
 
     Returns:
-        (task1_subspace, task2_subspace, {"p1": p1, "a": p1.w*}).
+        (task1_subspace, task2_subspace, {"p1": p1}).
     """
     if not (0.0 < epsilon < 1.0):
-        raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
+        raise InvalidParameters(f"epsilon must be in (0, 1), got {epsilon}")
     basis = np.eye(3)
     comp = math.sqrt(1.0 - epsilon**2)
     p1 = comp * basis[:, 1] - epsilon * basis[:, 2]
-    a = float(p1 @ p1)
     u = epsilon * basis[:, 1] + comp * basis[:, 2]
     s1 = Subspace(np.column_stack([basis[:, 0], u]))
     s2 = Subspace(basis[:, 2:3])
-    return s1, s2, {"p1": p1, "a": a}
+    return s1, s2, {"p1": p1}
 
 
 def make_avg_case_highdim(d: int, epsilon: float) -> tuple[Subspace, Subspace, dict]:
@@ -215,12 +194,12 @@ def make_avg_case_highdim(d: int, epsilon: float) -> tuple[Subspace, Subspace, d
     target is w* = u_perp itself, so a = u_perp.w* = 1.
 
     Returns:
-        (task1_subspace, task2_subspace, {"u_perp": u_perp, "a": u_perp.w*}).
+        (task1_subspace, task2_subspace, {"u_perp": u_perp}).
     """
     if d < 4:
-        raise InvalidDimension(f"high-dim construction needs d >= 4, got {d}")
+        raise InvalidParameters(f"high-dim construction needs d >= 4, got {d}")
     if not (0.0 < epsilon < 0.5):
-        raise InvalidEpsilon(f"epsilon must be in (0, 1/2), got {epsilon}")
+        raise InvalidParameters(f"epsilon must be in (0, 1/2), got {epsilon}")
     comp = math.sqrt(1.0 - epsilon**2)
     u = np.zeros(d)
     u[1] = epsilon
@@ -236,26 +215,19 @@ def make_avg_case_highdim(d: int, epsilon: float) -> tuple[Subspace, Subspace, d
     s2 = Subspace(eye[:, d - 1 : d])
     if not np.max(np.abs(s1.basis.T @ u_perp)) < 1e-10:
         raise ConsistencyFailure("u_perp no longer spans task 1's null space")
-    a = float(u_perp @ u_perp)
-    return s1, s2, {"u_perp": u_perp, "a": a}
+    return s1, s2, {"u_perp": u_perp}
 
 
-def sample_task(
-    s: Subspace,
-    n: int,
-    w_star,
-    rng: np.random.Generator,
-    tol: float = DEFAULT_TOL,
-) -> Task:
+def sample_task(s: Subspace, n: int, w_star, rng: np.random.Generator) -> Task:
     """Draw a task whose rows live in ``s``.
 
     Each row is W z with z drawn i.i.d. from N(0, I_k / k), so that the
     expected Gram matrix of k rows is the projector onto ``s``. Labels are
-    X w*. The numerical rank of X must equal rank(s); one re-draw is
-    attempted before giving up.
+    X w*. The numerical rank of X (``rank_mask``) must equal rank(s); one
+    re-draw is attempted before giving up.
 
     Raises:
-        TooFewSamples: if n < rank(s).
+        InvalidParameters: if n < rank(s).
         RankDeficiency: if the re-draw is still rank-deficient.
     """
     w_star = as_vector(w_star, "w_star")
@@ -263,7 +235,7 @@ def sample_task(
         raise DimensionMismatch("w_star dimension does not match the subspace")
     k = s.rank
     if n < k:
-        raise TooFewSamples(f"need at least {k} samples, got {n}")
+        raise InvalidParameters(f"need at least {k} samples, got {n}")
     scale = 1.0 / math.sqrt(k) if k else 1.0
     for attempt in range(2):
         Z = rng.standard_normal((n, k)) * scale
@@ -271,7 +243,7 @@ def sample_task(
         if k == 0:
             break
         svals = np.linalg.svd(X, compute_uv=False)
-        rank = int(np.sum(rank_mask(svals, tol)))
+        rank = int(np.sum(rank_mask(svals)))
         if rank == k:
             break
         if attempt == 1:
@@ -287,9 +259,9 @@ def make_angle_pair(theta: float, d: int) -> tuple[Subspace, Subspace]:
     The null directions are a1 = v1 and a2 = cos(theta) v1 + sin(theta) v2.
     """
     if not (0.0 <= theta <= math.pi / 2.0 + 1e-12):
-        raise InvalidAngle(f"theta must be in [0, pi/2], got {theta}")
+        raise InvalidParameters(f"theta must be in [0, pi/2], got {theta}")
     if d < 2:
-        raise InvalidDimension(f"angle pair needs d >= 2, got {d}")
+        raise InvalidParameters(f"angle pair needs d >= 2, got {d}")
     eye = np.eye(d)
     a1 = eye[:, 0]
     a2 = math.cos(theta) * a1 + math.sin(theta) * eye[:, 1]

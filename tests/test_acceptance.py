@@ -59,7 +59,7 @@ def _worst_case_forgetting(T: int, replay_row: int | None) -> float:
     seq, _ = make_worst_case(T, 3)
     replay = None if replay_row is None else (1, Fixed(((T - 2, replay_row),)))
     state = run_sequence(seq, replay=replay)
-    return forgetting_train(seq, state.w).average
+    return forgetting_train(seq, state.w)
 
 
 def test_criterion_01_worst_case_constants(criterion):
@@ -229,7 +229,7 @@ def test_criterion_09_angle_sweep(criterion):
         t1 = Task(X=s1.basis.T, y=s1.basis.T @ w_star)
         t2 = Task(X=s2.basis.T, y=s2.basis.T @ w_star)
         w = run_sequence(TaskSequence((t1, t2), w_star)).w
-        f = forgetting_train(TaskSequence((t1, t2), w_star), w).average
+        f = forgetting_train(TaskSequence((t1, t2), w_star), w)
         c2 = math.cos(theta) ** 2
         worst_dev = max(worst_dev, abs(f - c2 * (1.0 - c2)))
         empirical.append(f)

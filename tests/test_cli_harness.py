@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import continual_replay
 from continual_replay import cli_harness
 from continual_replay.cli_harness import _COMMANDS, _check_highdim_constraints, main
-from continual_replay.errors import ConsistencyFailure, ConstraintViolation, NotConverged
+from continual_replay.errors import ConsistencyFailure, InvalidParameters, NotConverged
 
 
 def _read_csv(path):
@@ -92,7 +92,12 @@ def test_highdim_constraints_hold(d, m):
 
 @pytest.mark.parametrize("d, m", [(100, 10), (152, 11), (152, 2)])
 def test_highdim_constraints_violated(d, m):
-    with pytest.raises(ConstraintViolation):
+    violated = {
+        (100, 10): "requires c1 < d",
+        (152, 11): r"requires c2\*m < d-1",
+        (152, 2): "requires d-1 < exp",
+    }[(d, m)]
+    with pytest.raises(InvalidParameters, match=violated):
         _check_highdim_constraints(d, m)
 
 
@@ -126,6 +131,38 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imported_names(tree):
+    # names bound by the module-level imports, __future__ aside
+    return [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+
+
+def test_package_has_no_leftover_imports():
+    # deletions tend to leave an import behind, or a stale __all__ entry
+    package = Path(continual_replay.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in _imported_names(tree) if name not in used]
+    assert unused == []
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+    )
+    assert len(exported) == len(set(exported))
+    assert set(exported) == set(_imported_names(init)) | {"__version__"}
 
 
 def test_highdim_closed_form_gate_exits_3(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from continual_replay.errors import (
     DimensionMismatch,
@@ -12,11 +13,9 @@ from continual_replay.linalg_core import (
     as_vector,
     complement_basis,
     min_norm_solve,
-    null_projector,
     op_norm,
     orthonormal_basis,
     principal_angles,
-    projector_onto,
     rank_mask,
 )
 
@@ -58,25 +57,19 @@ def test_subspace_rejects_non_orthonormal():
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_subspace_rejects_wrong_declared_shape():
-    basis = np.eye(3)[:, :2]
-    with pytest.raises(DimensionMismatch):
-        Subspace(basis, ambient_dim=4)
-    with pytest.raises(DimensionMismatch):
-        Subspace(basis, rank=1)
-
-
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_projector_properties(seed):
     rng = np.random.default_rng(seed)
     s = orthonormal_basis(rng.standard_normal((3, 7)))
-    onto = projector_onto(s)
-    for proj in (onto, null_projector(onto)):
+    onto = Projector(s.basis @ s.basis.T)
+    null = Projector(np.eye(7) - onto.matrix)
+    for proj in (onto, null):
         m = proj.matrix
         np.testing.assert_allclose(m, m.T, atol=1e-12)
         np.testing.assert_allclose(m @ m, m, atol=1e-12)
-    total = onto.matrix + null_projector(onto).matrix
+    total = onto.matrix + null.matrix
     np.testing.assert_allclose(total, np.eye(7), atol=1e-12)
+    assert onto.ambient_dim == 7 and s.ambient_dim == 7 and s.rank == 3
 
 
 def test_projector_type_rejects_non_idempotent():
@@ -108,11 +101,30 @@ def test_principal_angles_known_plane():
 
 def test_principal_angles_same_and_orthogonal():
     s1 = Subspace(np.eye(4)[:, :2])
-    np.testing.assert_allclose(principal_angles(s1, s1), [0.0, 0.0], atol=1e-7)
+    np.testing.assert_allclose(principal_angles(s1, s1), [0.0, 0.0], atol=1e-15)
     s2 = Subspace(np.eye(4)[:, 2:])
     np.testing.assert_allclose(
         principal_angles(s1, s2), [np.pi / 2, np.pi / 2], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 0.3, np.pi / 2])
+def test_principal_angles_match_scipy(theta):
+    # exact bases: angles {0, theta} between span{e1, e2} and a rank-3 span
+    # holding e2, e4 and cos(theta) e1 + sin(theta) e3; arccos of the
+    # cosines alone returns 0 for theta = 1e-12 and 1e-9
+    a = Subspace(np.eye(5)[:, :2])
+    v = np.zeros(5)
+    v[0], v[2] = np.cos(theta), np.sin(theta)
+    b = Subspace(np.column_stack([v, np.eye(5)[:, 1], np.eye(5)[:, 3]]))
+    expect = np.sort(scipy.linalg.subspace_angles(a.basis, b.basis))
+    np.testing.assert_allclose(expect, [0.0, theta], rtol=1e-12, atol=0.0)
+    for got in (principal_angles(a, b), principal_angles(b, a)):
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+    # a random rotation of both keeps the angles to rounding
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((5, 5)))
+    rotated = principal_angles(Subspace(q @ a.basis), Subspace(q @ b.basis))
+    np.testing.assert_allclose(rotated, expect, atol=1e-14)
 
 
 def test_principal_angles_dimension_mismatch():

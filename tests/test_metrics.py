@@ -8,12 +8,10 @@ from continual_replay.learner import Fixed, run_sequence
 from continual_replay.linalg_core import Subspace, orthonormal_basis
 from continual_replay.metrics import (
     _REPLAY_CHUNK,
-    ForgettingReport,
     benign_replay_certificate,
     expected_forgetting_closed_form,
     expected_forgetting_trace_form,
     expected_replay_forgetting_two_tasks,
-    forgetting_test,
     forgetting_test_mean,
     forgetting_train,
     replay_null_projector,
@@ -21,6 +19,8 @@ from continual_replay.metrics import (
 from continual_replay.oracle import claim_c2_statistics
 from continual_replay.task_gen import (
     EPSILON_3D,
+    Task,
+    TaskSequence,
     make_angle_pair,
     make_avg_case_3d,
     make_avg_case_highdim,
@@ -31,20 +31,7 @@ from continual_replay.task_gen import (
 A_SQ = 6.0 / 7.0  # squared alignment of the default worst-case w*
 
 
-# ---------------------------------------------------------------- reports
-
-
-def test_report_validation_and_csv():
-    rep = ForgettingReport((0.5, 0.25), 0.375, "train_samples")
-    assert rep.T == 3
-    with pytest.raises(InvalidParameters):
-        ForgettingReport((0.5,), 0.4, "train_samples")
-    with pytest.raises(InvalidParameters):
-        ForgettingReport((-0.1,), -0.1, "train_samples")
-    with pytest.raises(InvalidParameters):
-        ForgettingReport((0.5,), 0.5, "bogus")
-    with pytest.raises(TooFewTasks):
-        ForgettingReport((), 0.0, "train_samples")
+# ------------------------------------------------------- train forgetting
 
 
 def test_forgetting_train_requires_two_tasks():
@@ -62,8 +49,8 @@ def test_forgetting_train_requires_two_tasks():
 def test_worst_case_no_replay_constant(T):
     seq, _ = make_worst_case(T, 3)
     state = run_sequence(seq)
-    rep = forgetting_train(seq, state.w)
-    assert rep.average == pytest.approx(3.0 * A_SQ / (28.0 * (T - 1)), abs=1e-12)
+    f = forgetting_train(seq, state.w)
+    assert f == pytest.approx(3.0 * A_SQ / (28.0 * (T - 1)), abs=1e-12)
 
 
 @pytest.mark.parametrize("T", [2, 3, 5, 10])
@@ -73,7 +60,7 @@ def test_worst_case_replay_matches_projector_route(T, d):
     # obtained purely from projector algebra on the augmented final span
     seq, (x2, _) = make_worst_case(T, d)
     state = run_sequence(seq, replay=(1, Fixed(((T - 2, 1),))))
-    rep = forgetting_train(seq, state.w)
+    f = forgetting_train(seq, state.w)
 
     r = seq.w_star.copy()
     for t, task in enumerate(seq.tasks):
@@ -83,29 +70,26 @@ def test_worst_case_replay_matches_projector_route(T, d):
     expect = float(
         np.mean([np.sum((task.X @ r) ** 2) for task in seq.tasks[:-1]])
     )
-    assert rep.average == pytest.approx(expect, abs=1e-12)
+    assert f == pytest.approx(expect, abs=1e-12)
     # the projector route lands on 3 a^2 / 14 independently of T
-    assert rep.average == pytest.approx(3.0 * A_SQ / 14.0, abs=1e-9)
+    assert f == pytest.approx(3.0 * A_SQ / 14.0, abs=1e-9)
 
 
 def test_worst_case_rotation_invariance():
     base, _ = make_worst_case(4, 5)
-    rot, _ = make_worst_case(4, 5, rng=np.random.default_rng(3), random_rotation=True)
-    f_base = forgetting_train(base, run_sequence(base).w).average
-    f_rot = forgetting_train(rot, run_sequence(rot).w).average
+    # a Haar rotation of every row and of w*: QR with the sign correction
+    q, r = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
+    Q = q * np.sign(np.diag(r))
+    w_star = Q @ base.w_star
+    rot = TaskSequence(
+        tuple(Task(task.X @ Q.T, task.X @ Q.T @ w_star) for task in base.tasks), w_star
+    )
+    f_base = forgetting_train(base, run_sequence(base).w)
+    f_rot = forgetting_train(rot, run_sequence(rot).w)
     assert f_rot == pytest.approx(f_base, abs=1e-9)
 
 
 # ----------------------------------------------------- fresh-sample variant
-
-
-def test_forgetting_test_zero_at_w_star():
-    rng = np.random.default_rng(0)
-    subs = [orthonormal_basis(rng.standard_normal((2, 5))) for _ in range(3)]
-    w_star = rng.standard_normal(5)
-    rep = forgetting_test(subs, w_star, w_star, rng)
-    assert rep.average <= 1e-20
-    assert rep.variant == "test_samples"
 
 
 def test_forgetting_test_mean_matches_closed_form():
@@ -116,6 +100,9 @@ def test_forgetting_test_mean_matches_closed_form():
     exact = expected_forgetting_closed_form(subs, w_star)
     res = forgetting_test_mean(subs, w, w_star, 40000, np.random.default_rng(2))
     assert abs(res["mean"] - exact) <= 3.0 * res["std_err"]
+    # at w = w* no fresh sample sees a residual
+    at_star = forgetting_test_mean(subs, w_star, w_star, 100, np.random.default_rng(0))
+    assert at_star["mean"] <= 1e-20
 
 
 def run_sequence_from(subs, w_star):

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from continual_replay.errors import (
-    InconsistentSystem,
-    InvalidAngle,
-    InvalidDimension,
-    InvalidEpsilon,
-    InvalidParameters,
-    TooFewSamples,
-)
+from continual_replay.errors import InconsistentSystem, InvalidParameters
 from continual_replay.linalg_core import orthonormal_basis, principal_angles
 from continual_replay.task_gen import (
     EPSILON_3D,
@@ -53,9 +46,9 @@ def test_worst_case_structure(T, d):
 
 
 def test_worst_case_errors():
-    with pytest.raises(InvalidDimension):
+    with pytest.raises(InvalidParameters, match="needs d >= 3"):
         make_worst_case(3, 2)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidParameters, match="needs T >= 2"):
         make_worst_case(1, 3)
 
 
@@ -79,7 +72,8 @@ def test_avg_case_3d_geometry():
     # the span projector and the p1 line resolve the identity
     total = s1.basis @ s1.basis.T + np.outer(p1, p1)
     np.testing.assert_allclose(total, np.eye(3), atol=1e-12)
-    assert info["a"] == pytest.approx(1.0)
+    # w* = p1, so its alignment a = p1 . w* is 1
+    assert p1 @ p1 == pytest.approx(1.0)
     assert EPSILON_3D == pytest.approx(math.sqrt(1.0 / 63.0))
 
 
@@ -90,15 +84,15 @@ def test_avg_case_highdim_geometry():
     u_perp = info["u_perp"]
     np.testing.assert_allclose(np.linalg.norm(u_perp), 1.0, atol=1e-12)
     np.testing.assert_allclose(s1.basis.T @ u_perp, np.zeros(d - 1), atol=1e-10)
-    assert info["a"] == pytest.approx(1.0)
+    assert u_perp @ u_perp == pytest.approx(1.0)
 
 
 def test_avg_case_highdim_errors():
-    with pytest.raises(InvalidEpsilon):
+    with pytest.raises(InvalidParameters, match="epsilon must be in"):
         make_avg_case_highdim(20, 0.5)
-    with pytest.raises(InvalidEpsilon):
+    with pytest.raises(InvalidParameters, match="epsilon must be in"):
         make_avg_case_highdim(20, 0.0)
-    with pytest.raises(InvalidDimension):
+    with pytest.raises(InvalidParameters, match="needs d >= 4"):
         make_avg_case_highdim(3, 0.4)
 
 
@@ -118,7 +112,7 @@ def test_sample_task_shapes_and_rank(seed):
 
 def test_sample_task_too_few():
     s = orthonormal_basis(np.eye(4)[:3])
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(InvalidParameters, match="need at least 3 samples"):
         sample_task(s, 2, np.zeros(4), np.random.default_rng(0))
 
 
@@ -146,11 +140,11 @@ def test_make_angle_pair(theta):
 
 
 def test_make_angle_pair_errors():
-    with pytest.raises(InvalidAngle):
+    with pytest.raises(InvalidParameters, match="theta must be in"):
         make_angle_pair(-0.1, 4)
-    with pytest.raises(InvalidAngle):
+    with pytest.raises(InvalidParameters, match="theta must be in"):
         make_angle_pair(2.0, 4)
-    with pytest.raises(InvalidDimension):
+    with pytest.raises(InvalidParameters, match="needs d >= 2"):
         make_angle_pair(0.5, 1)
 
 
