@@ -22,11 +22,7 @@ from .errors import (
     TooFewTasks,
 )
 from .learner import (
-    Fixed,
     GdConfig,
-    LearnerState,
-    ReplayMemory,
-    UniformWithoutReplacement,
     augment_with_replay,
     fit_closed_form,
     fit_gd,
@@ -84,11 +80,7 @@ __all__ = [
     "NotConverged",
     "RankDeficiency",
     "TooFewTasks",
-    "Fixed",
     "GdConfig",
-    "LearnerState",
-    "ReplayMemory",
-    "UniformWithoutReplacement",
     "augment_with_replay",
     "fit_closed_form",
     "fit_gd",

@@ -33,13 +33,9 @@ from .errors import (
     InvalidParameters,
 )
 from .learner import (
-    Fixed,
     GdConfig,
-    ReplayMemory,
-    UniformWithoutReplacement,
     augment_with_replay,
     fit_closed_form,
-    fit_gd,
     run_sequence,
     select_replay,
 )
@@ -73,7 +69,7 @@ from .task_gen import (
 # Thm 3.3 regime constants; validated before the high-dimensional command runs.
 C1, C2, C3 = 120, 15, 97
 
-_GD_EXACTISH = GdConfig(learning_rate=None, epochs=100000, convergence_tol=1e-11)
+_GD_EXACTISH = GdConfig(epochs=100000, convergence_tol=1e-11)
 # Replay-augmented sweep tasks can be arbitrarily ill-conditioned in tail
 # draws, where no epoch budget resolves the near-singular direction; the
 # CSV's max_fit_residual reports how far each fit got.
@@ -119,20 +115,17 @@ def _span_loss(s1: Subspace, w: np.ndarray, w_star: np.ndarray) -> float:
     return float(np.sum((s1.basis.T @ (w - w_star)) ** 2))
 
 
-def _projector_train_forgetting(seq: TaskSequence, final_extra=None) -> float:
+def _projector_train_forgetting(seq: TaskSequence) -> float:
     """Train-row forgetting computed by pure projector cascade.
 
     Independent of the learner: pushes w* through the null space of each
-    task's row span (the final task optionally augmented with replay rows)
-    and averages the squared training residuals it leaves behind.
+    task's row span (a replay-augmented sequence carries its memory in the
+    final task) and averages the squared training residuals it leaves
+    behind on the earlier tasks.
     """
     r = seq.w_star.copy()
-    last = len(seq) - 1
-    for t, task in enumerate(seq.tasks):
-        X = task.X
-        if t == last and final_extra is not None:
-            X = np.vstack([X, np.atleast_2d(final_extra)])
-        s = orthonormal_basis(X)
+    for task in seq.tasks:
+        s = orthonormal_basis(task.X)
         r = r - s.basis @ (s.basis.T @ r)
     losses = [float(np.sum((task.X @ r) ** 2)) for task in seq.tasks[:-1]]
     return sum(losses) / len(losses)
@@ -154,27 +147,20 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     """
     p = cfg.params
     T, d, solver, seed = p["T"], p["d"], p["solver"], p["seed"]
-    seq, (x2, _y2) = make_worst_case(T, d)
+    seq, (x2, y2) = make_worst_case(T, d)
     a_sq = 6.0 / 7.0  # default w* = v2
     stated_no = 3.0 * a_sq / (28.0 * (T - 1))
     stated_replay = 9.0 * a_sq / 196.0
     tol = 1e-9 if solver == "closed_form" else 1e-4
-    gd_cfg = _GD_EXACTISH
+    mixed = seq.tasks[T - 2]  # rows x1, x2
 
-    def run(fixed_pair=None):
-        replay = None if fixed_pair is None else (1, Fixed((fixed_pair,)))
-        state = run_sequence(seq, replay=replay, solver=solver, gd_config=gd_cfg)
-        return state.w, forgetting_train(seq, state.w)
+    def run(replayed: TaskSequence):
+        w = run_sequence(replayed, solver, _GD_EXACTISH)
+        return w, forgetting_train(seq, w), _projector_train_forgetting(replayed)
 
-    x2_pair = (T - 2, 1)
-    x1_pair = (T - 2, 0)
-    w_plain, f_plain = run()
-    w_x2, f_x2 = run(x2_pair)
-    w_x1, f_x1 = run(x1_pair)
-
-    proj_no = _projector_train_forgetting(seq)
-    proj_x2 = _projector_train_forgetting(seq, final_extra=x2)
-    proj_x1 = _projector_train_forgetting(seq, final_extra=seq.tasks[x1_pair[0]].X[0])
+    w_plain, f_plain, proj_no = run(seq)
+    w_x2, f_x2, proj_x2 = run(augment_with_replay(seq, Task(x2[None], [y2])))
+    w_x1, f_x1, proj_x1 = run(augment_with_replay(seq, Task(mixed.X[:1], mixed.y[:1])))
     drift_x1 = float(np.linalg.norm(w_x1 - w_plain))
 
     _require(abs(f_plain - stated_no) <= tol, f"no-replay forgetting off: {f_plain}")
@@ -299,17 +285,6 @@ def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, [row], analytic)
 
 
-def _fit_two_task(seq: TaskSequence, mem: ReplayMemory | None, solver: str):
-    """Final iterate and its residual on the (augmented) second task."""
-    w = np.zeros(seq.ambient_dim)
-    first, second = seq.tasks
-    if mem is not None and mem.size:
-        second = augment_with_replay(second, mem)
-    for task in (first, second):
-        w = fit_closed_form(w, task) if solver == "closed_form" else fit_gd(w, task, _GD_SWEEP)
-    return w, second.residual(w)
-
-
 def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean forgetting as a function of the replay-memory size m.
 
@@ -349,10 +324,11 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         t2 = sample_task(s2, n2, w_star, rng)
         seq = TaskSequence((t1, t2), w_star)
         for m in m_list:
-            mem = select_replay(seq, 1, m, UniformWithoutReplacement(), rng)
+            replayed = augment_with_replay(seq, select_replay(seq, m, rng))
             for solver in ("closed_form", "gd"):
-                w2, res = _fit_two_task(seq, mem, solver)
+                w2 = run_sequence(replayed, solver, _GD_SWEEP)
                 values[(m, solver)].append(_span_loss(s1, w2, w_star))
+                res = replayed.tasks[-1].residual(w2)  # the final task with its memory
                 residuals[(m, solver)] = max(residuals[(m, solver)], res)
     rows = []
     for m in m_list:
@@ -407,8 +383,7 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         t1 = Task(X=s1.basis.T, y=s1.basis.T @ w_star)
         t2 = Task(X=s2.basis.T, y=s2.basis.T @ w_star)
         seq = TaskSequence((t1, t2), w_star)
-        state = run_sequence(seq, solver=solver, gd_config=_GD_EXACTISH)
-        emp = _span_loss(s1, state.w, w_star)
+        emp = _span_loss(s1, run_sequence(seq, solver, _GD_EXACTISH), w_star)
         c2t = math.cos(theta) ** 2
         analytic = c2t * (1.0 - c2t)
         rows.append(

@@ -44,16 +44,6 @@ class OracleVerdict:
     seed: int
 
 
-def _rng_and_seed(rng) -> tuple[np.random.Generator, int]:
-    # Verdicts record the seed when one was given; an opaque generator is
-    # recorded as -1 since its state cannot be summarized in one integer.
-    if rng is None:
-        return np.random.default_rng(42), 42
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng)), int(rng)
-    return rng, -1
-
-
 def oracle_min_norm(X, y, w_prev) -> np.ndarray:
     """Min-norm update via the KKT linear system.
 
@@ -85,14 +75,14 @@ def oracle_min_norm(X, y, w_prev) -> np.ndarray:
     return w
 
 
-def claim_c2_statistics(trials: int, rng) -> tuple[float, float]:
+def claim_c2_statistics(trials: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of 63 a'^2 - 62 a'^4.
 
     a'^2 = a1^2 / (a2^2/63 + a1^2) with a1, a2 independent standard
     normals. Exposed separately so experiments can reuse the exact law the
-    oracle evaluates.
+    oracle evaluates, from ``default_rng(seed)``.
     """
-    gen, _ = _rng_and_seed(rng)
+    gen = np.random.default_rng(seed)
     values = np.zeros(trials)
     done = 0
     while done < trials:
@@ -107,7 +97,7 @@ def claim_c2_statistics(trials: int, rng) -> tuple[float, float]:
     return mean, std_err
 
 
-def oracle_claim_c2(trials: int, rng=None) -> OracleVerdict:
+def oracle_claim_c2(trials: int, seed: int) -> OracleVerdict:
     """Monte Carlo check of the 3D replay-ratio lower bound (>= 1.4).
 
     Fails only when the sampled mean sits below the bound by more than
@@ -115,8 +105,7 @@ def oracle_claim_c2(trials: int, rng=None) -> OracleVerdict:
     """
     if trials < 10**4:
         raise InvalidParameters("trials must be >= 10^4")
-    gen, seed = _rng_and_seed(rng)
-    mean, std_err = claim_c2_statistics(trials, gen)
+    mean, std_err = claim_c2_statistics(trials, seed)
     return OracleVerdict(
         name="claim_c2_ratio",
         observed=mean,
@@ -167,7 +156,7 @@ def binomial_upper_tail(n: int, p: float, k: int) -> float:
 
 
 def oracle_random_projection_tails(
-    d: int, m: int, trials: int, rng=None
+    d: int, m: int, trials: int, seed: int
 ) -> list[OracleVerdict]:
     """Empirical tails of the random-projection statistic vs their bounds.
 
@@ -183,7 +172,7 @@ def oracle_random_projection_tails(
         raise InvalidParameters("requires m < d - 1")
     if trials < 10**4:
         raise InvalidParameters("trials must be >= 10^4")
-    gen, seed = _rng_and_seed(rng)
+    gen = np.random.default_rng(seed)
     low_count = 0
     high_count = 0
     t_low, t_high = 1.0 / 30.0, 5.0
@@ -218,7 +207,7 @@ def oracle_random_projection_tails(
 
 
 def oracle_projector_sandwich(
-    d: int, m: int, epsilon: float, trials: int, rng=None
+    d: int, m: int, epsilon: float, trials: int, seed: int
 ) -> OracleVerdict:
     """Direct check of the anisotropic-projector sandwich inequality.
 
@@ -234,7 +223,7 @@ def oracle_projector_sandwich(
         raise InvalidParameters("epsilon must be in (0, 1]")
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
-    gen, seed = _rng_and_seed(rng)
+    gen = np.random.default_rng(seed)
     e = np.zeros(d - 1)
     e[0] = 1.0
     worst = math.inf

@@ -19,9 +19,7 @@ import time
 import numpy as np
 
 from continual_replay.learner import (
-    Fixed,
     GdConfig,
-    UniformWithoutReplacement,
     augment_with_replay,
     run_sequence,
     select_replay,
@@ -55,11 +53,16 @@ from continual_replay.task_gen import (
 A_SQ = 6.0 / 7.0  # a^2 for the default worst-case target w* = v2
 
 
+def _replay_row(seq: TaskSequence, row: int) -> TaskSequence:
+    """The worst case with row ``row`` of task T-1 (x1 or x2) replayed."""
+    mixed = seq.tasks[-2]
+    return augment_with_replay(seq, Task(X=mixed.X[row : row + 1], y=mixed.y[row : row + 1]))
+
+
 def _worst_case_forgetting(T: int, replay_row: int | None) -> float:
     seq, _ = make_worst_case(T, 3)
-    replay = None if replay_row is None else (1, Fixed(((T - 2, replay_row),)))
-    state = run_sequence(seq, replay=replay)
-    return forgetting_train(seq, state.w)
+    replayed = seq if replay_row is None else _replay_row(seq, replay_row)
+    return forgetting_train(seq, run_sequence(replayed))
 
 
 def test_criterion_01_worst_case_constants(criterion):
@@ -101,8 +104,8 @@ def test_criterion_02_scaling_in_T(criterion):
 def test_criterion_03_replay_of_x1_is_neutral(criterion):
     T = 10
     seq, _ = make_worst_case(T, 3)
-    w_plain = run_sequence(seq).w
-    w_x1 = run_sequence(seq, replay=(1, Fixed(((T - 2, 0),)))).w
+    w_plain = run_sequence(seq)
+    w_x1 = run_sequence(_replay_row(seq, 0))
     drift = float(np.linalg.norm(w_x1 - w_plain))
     assert criterion(3, drift <= 1e-9, f"final-iterate drift {drift:.2e} (tol 1e-9)")
 
@@ -174,7 +177,7 @@ def test_criterion_07_test_sample_consistency(criterion):
         tasks = tuple(
             sample_task(s, s.rank + 1, w_star, rng) for s in subspaces
         )
-        w = run_sequence(TaskSequence(tasks, w_star)).w
+        w = run_sequence(TaskSequence(tasks, w_star))
         est = forgetting_test_mean(subspaces, w, w_star, 10**5, rng)
         analytic = expected_forgetting_closed_form(subspaces, w_star)
         dev = abs(est["mean"] - analytic)
@@ -228,7 +231,7 @@ def test_criterion_09_angle_sweep(criterion):
         s1, s2 = make_angle_pair(float(theta), d)
         t1 = Task(X=s1.basis.T, y=s1.basis.T @ w_star)
         t2 = Task(X=s2.basis.T, y=s2.basis.T @ w_star)
-        w = run_sequence(TaskSequence((t1, t2), w_star)).w
+        w = run_sequence(TaskSequence((t1, t2), w_star))
         f = forgetting_train(TaskSequence((t1, t2), w_star), w)
         c2 = math.cos(theta) ** 2
         worst_dev = max(worst_dev, abs(f - c2 * (1.0 - c2)))
@@ -263,7 +266,7 @@ def _kaczmarz(w, X, y, max_sweeps=10000):
 
 def test_criterion_10_gd_matches_closed_form(criterion):
     rng = np.random.default_rng(10)
-    gd_cfg = GdConfig(learning_rate=None, epochs=100000, convergence_tol=1e-9)
+    gd_cfg = GdConfig(epochs=100000, convergence_tol=1e-9)
     worst = 0.0
     worst_kaczmarz = 0.0
     for i in range(100):
@@ -276,23 +279,15 @@ def test_criterion_10_gd_matches_closed_form(criterion):
             X = rng.standard_normal((n, d))
             tasks.append(Task(X=X, y=X @ w_star))
         seq = TaskSequence(tuple(tasks), w_star)
-        replay = (1, UniformWithoutReplacement()) if T >= 2 else None
-        for rep in (None, replay):
-            w_c = run_sequence(seq, replay=rep, rng=np.random.default_rng(i)).w
-            w_g = run_sequence(
-                seq,
-                replay=rep,
-                solver="gd",
-                gd_config=gd_cfg,
-                rng=np.random.default_rng(i),
-            ).w
+        # one stored row, drawn once; both solvers and Kaczmarz see the same data
+        replayed = augment_with_replay(seq, select_replay(seq, 1, np.random.default_rng(i)))
+        for data in (seq, replayed):
+            w_c = run_sequence(data)
+            w_g = run_sequence(data, "gd", gd_cfg)
             worst = max(worst, float(np.linalg.norm(w_c - w_g)))
-            # the same sequence and memory through an iterative route with no SVD
+            # the same tasks through an iterative route with no SVD
             w_k = np.zeros(d)
-            for t, task in enumerate(seq.tasks):
-                if rep is not None and t == T - 1:
-                    mem = select_replay(seq, t, rep[0], rep[1], np.random.default_rng(i))
-                    task = augment_with_replay(task, mem)
+            for task in data.tasks:
                 w_k = _kaczmarz(w_k, task.X, task.y)
             worst_kaczmarz = max(worst_kaczmarz, float(np.linalg.norm(w_c - w_k)))
     ok = worst <= 1e-4 and worst_kaczmarz <= 1e-9

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from continual_replay.errors import DimensionMismatch, InvalidParameters, NotConverged
+from continual_replay.errors import (
+    DimensionMismatch,
+    InconsistentSystem,
+    InvalidParameters,
+    NotConverged,
+)
 from continual_replay.learner import (
-    Fixed,
     GdConfig,
-    ReplayMemory,
-    UniformWithoutReplacement,
     augment_with_replay,
     fit_closed_form,
     fit_gd,
@@ -14,7 +16,7 @@ from continual_replay.learner import (
     select_replay,
 )
 from continual_replay.linalg_core import orthonormal_basis
-from continual_replay.task_gen import Task, TaskSequence, make_worst_case, sample_task
+from continual_replay.task_gen import Task, TaskSequence, make_worst_case
 
 
 def _random_consistent_task(rng, n, d, w_star):
@@ -62,7 +64,7 @@ def test_fit_gd_matches_closed_form(seed):
     w_star = rng.standard_normal(d)
     task = _random_consistent_task(rng, n, d, w_star)
     w_prev = rng.standard_normal(d)
-    cfg = GdConfig(learning_rate=None, epochs=100000, convergence_tol=1e-10)
+    cfg = GdConfig(epochs=100000, convergence_tol=1e-10)
     np.testing.assert_allclose(
         fit_gd(w_prev, task, cfg), fit_closed_form(w_prev, task), atol=1e-4
     )
@@ -97,57 +99,39 @@ def _gd_test_systems():
     return systems
 
 
-def _rate(scale, *Xs):
-    # scale / lambda_max over every system the rate must keep stable
-    return scale / max(np.linalg.norm(X, 2) ** 2 for X in Xs)
+def _rate(X):
+    # fit_gd's step, 1 / lambda_max(X^T X)
+    return 1.0 / np.linalg.norm(X, 2) ** 2
 
 
 @pytest.mark.parametrize("epochs", [1, 7, 300, 3000])
-@pytest.mark.parametrize("scale", [None, 1.9])  # None: fit_gd's auto rate 1/lambda_max
-def test_full_batch_gd_matches_epoch_loop(epochs, scale):
+def test_full_batch_gd_matches_epoch_loop(epochs):
     def close(w, ref, w0):
         # relative to the distance the loop moved
         assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref - w0)
 
+    cfg = GdConfig(epochs=epochs, convergence_tol=np.inf)
     for X, y, w0 in _gd_test_systems():
-        lr = _rate(1.0 if scale is None else scale, X)
-        cfg = GdConfig(
-            learning_rate=None if scale is None else lr,
-            epochs=epochs,
-            convergence_tol=np.inf,
-        )
-        close(fit_gd(w0, Task(X=X, y=y), cfg), _gd_epochs(w0, X, y, lr, epochs), w0)
+        close(fit_gd(w0, Task(X=X, y=y), cfg), _gd_epochs(w0, X, y, _rate(X), epochs), w0)
 
     # replay-augmented sequence: the memory joins the final task's rows
     seq = _two_task_seq(np.random.default_rng(41), d=8)
-    mem = select_replay(seq, 1, 2, UniformWithoutReplacement(), np.random.default_rng(5))
-    tasks = (seq.tasks[0], augment_with_replay(seq.tasks[1], mem))
-    fixed = None if scale is None else _rate(scale, *(t.X for t in tasks))
-    cfg = GdConfig(learning_rate=fixed, epochs=epochs, convergence_tol=np.inf)
-    state = run_sequence(
-        seq,
-        replay=(2, UniformWithoutReplacement()),
-        solver="gd",
-        gd_config=cfg,
-        rng=np.random.default_rng(5),
-    )
-    w = np.zeros(8)
-    for task, w_gd in zip(tasks, state.history):
-        lr = _rate(1.0, task.X) if fixed is None else fixed
-        w_next = _gd_epochs(w, task.X, task.y, lr, epochs)
-        close(w_gd, w_next, w)
-        w = w_next
+    replayed = augment_with_replay(seq, select_replay(seq, 2, np.random.default_rng(5)))
+    w = w_prev = np.zeros(8)
+    for task in replayed.tasks:
+        w_prev, w = w, _gd_epochs(w, task.X, task.y, _rate(task.X), epochs)
+    close(run_sequence(replayed, "gd", cfg), w, w_prev)
 
 
 def test_full_batch_gd_not_converged_boundary():
     # the residual after exactly K epochs decides; there is no early stop
     X, y, w0 = _gd_test_systems()[0]
     epochs = 7
-    reached = np.linalg.norm(X @ _gd_epochs(w0, X, y, _rate(1.0, X), epochs) - y)
+    reached = np.linalg.norm(X @ _gd_epochs(w0, X, y, _rate(X), epochs) - y)
     task = Task(X=X, y=y)
     with pytest.raises(NotConverged):
-        fit_gd(w0, task, GdConfig(learning_rate=None, epochs=epochs, convergence_tol=0.99 * reached))
-    w = fit_gd(w0, task, GdConfig(learning_rate=None, epochs=epochs, convergence_tol=1.01 * reached))
+        fit_gd(w0, task, GdConfig(epochs=epochs, convergence_tol=0.99 * reached))
+    w = fit_gd(w0, task, GdConfig(epochs=epochs, convergence_tol=1.01 * reached))
     assert task.residual(w) == pytest.approx(reached, rel=1e-10)
 
 
@@ -159,24 +143,19 @@ def test_fit_gd_zero_loss_start():
     np.testing.assert_allclose(w, w_star, atol=1e-9)
 
 
-def test_fit_gd_rejects_unstable_rate():
-    task = Task(X=np.eye(3), y=np.zeros(3))
-    with pytest.raises(InvalidParameters):
-        fit_gd(np.ones(3), task, GdConfig(learning_rate=3.0))
-
-
 def test_fit_gd_not_converged():
-    rng = np.random.default_rng(8)
-    task = _random_consistent_task(rng, 3, 8, rng.standard_normal(8))
+    # condition number 1e3: one epoch at 1/lambda_max moves the weak
+    # direction by lr s^2 = 1e-6 of its residual
+    task = Task(X=np.diag([1.0, 1e-3, 0.5]), y=np.ones(3))
     with pytest.raises(NotConverged):
-        fit_gd(np.zeros(8), task, GdConfig(learning_rate=1e-6, epochs=5))
+        fit_gd(np.zeros(3), task, GdConfig(epochs=1))
 
 
 def test_gd_config_validation():
     with pytest.raises(InvalidParameters):
         GdConfig(epochs=0)
     with pytest.raises(InvalidParameters):
-        GdConfig(learning_rate=-0.1)
+        GdConfig(convergence_tol=0.0)
 
 
 # ---------------------------------------------------------------- replay
@@ -191,49 +170,54 @@ def _two_task_seq(rng, d=6):
 
 def test_select_replay_uniform():
     rng = np.random.default_rng(0)
-    seq = _two_task_seq(rng)
-    mem = select_replay(seq, 1, 2, UniformWithoutReplacement(), np.random.default_rng(1))
-    assert mem.size == 2
-    # each stored (row, label) is one of task 0's pairs, and no pair twice
-    first = seq.tasks[0]
-    picked = []
-    for row, label in zip(mem.rows, mem.labels):
-        matches = [
-            i
-            for i in range(first.n_samples)
-            if np.allclose(first.X[i], row, rtol=0.0, atol=1e-15)
-            and abs(first.y[i] - label) <= 1e-15
-        ]
-        assert len(matches) == 1
-        picked.append(matches[0])
-    assert len(set(picked)) == 2
+    w_star = rng.standard_normal(6)
+    tasks = tuple(_random_consistent_task(rng, n, 6, w_star) for n in (3, 2, 2))
+    seq = TaskSequence(tasks, w_star)
+    mem = select_replay(seq, 4, np.random.default_rng(1))
+    assert mem.n_samples == 4
+    # rows of every task before the last, task by task, drawn by one
+    # rng.choice over that pool: the draws the replay runs have always used
+    pool_X = np.vstack([t.X for t in tasks[:-1]])
+    pool_y = np.concatenate([t.y for t in tasks[:-1]])
+    chosen = np.random.default_rng(1).choice(5, size=4, replace=False)
+    np.testing.assert_array_equal(mem.X, pool_X[chosen])
+    np.testing.assert_array_equal(mem.y, pool_y[chosen])
+    assert len({tuple(row) for row in mem.X}) == 4  # distinct rows
 
 
 def test_select_replay_errors():
     rng = np.random.default_rng(0)
     seq = _two_task_seq(rng)
     with pytest.raises(InvalidParameters, match="asked for 4 rows, only 3 available"):
-        select_replay(seq, 1, 4, UniformWithoutReplacement(), np.random.default_rng(0))
-    with pytest.raises(InvalidParameters):
-        select_replay(seq, 1, 2, Fixed(((0, 0),)), np.random.default_rng(0))
-    with pytest.raises(InvalidParameters):
-        select_replay(seq, 1, 1, Fixed(((1, 0),)), np.random.default_rng(0))
-    assert select_replay(seq, 1, 0, UniformWithoutReplacement()).size == 0
+        select_replay(seq, 4, np.random.default_rng(0))
+    with pytest.raises(InvalidParameters, match="m must be >= 0"):
+        select_replay(seq, -1, np.random.default_rng(0))
+    # an empty memory consumes nothing from the generator
+    gen = np.random.default_rng(0)
+    before = gen.bit_generator.state
+    empty = select_replay(seq, 0, gen)
+    assert (empty.n_samples, empty.ambient_dim) == (0, 6)
+    assert gen.bit_generator.state == before
 
 
 def test_augment_with_replay():
     rng = np.random.default_rng(2)
     seq = _two_task_seq(rng)
-    mem = select_replay(seq, 1, 2, UniformWithoutReplacement(), np.random.default_rng(3))
-    task = augment_with_replay(seq.tasks[1], mem)
-    assert task.n_samples == seq.tasks[1].n_samples + 2
-    np.testing.assert_allclose(task.X[-2:], mem.rows, atol=1e-15)
-    empty = ReplayMemory.empty(6)
-    assert augment_with_replay(seq.tasks[1], empty) is seq.tasks[1]
+    mem = select_replay(seq, 2, np.random.default_rng(3))
+    replayed = augment_with_replay(seq, mem)
+    assert replayed.tasks[0] is seq.tasks[0]
+    final = replayed.tasks[-1]
+    assert final.n_samples == seq.tasks[1].n_samples + 2
+    np.testing.assert_array_equal(final.X, np.vstack([seq.tasks[1].X, mem.X]))
+    np.testing.assert_array_equal(final.y, np.concatenate([seq.tasks[1].y, mem.y]))
+    empty = select_replay(seq, 0, np.random.default_rng(3))
+    assert augment_with_replay(seq, empty) is seq
     with pytest.raises(DimensionMismatch):
-        augment_with_replay(
-            seq.tasks[1], ReplayMemory(rows=np.zeros((1, 5)), labels=np.zeros(1))
-        )
+        augment_with_replay(seq, Task(X=np.zeros((1, 5)), y=np.zeros(1)))
+    # the augmented sequence keeps w* as its realizability witness
+    first = seq.tasks[0]
+    with pytest.raises(InconsistentSystem):
+        augment_with_replay(seq, Task(X=first.X[:1], y=first.y[:1] + 1.0))
 
 
 def test_run_sequence_histories_and_fixed_point():
@@ -242,39 +226,43 @@ def test_run_sequence_histories_and_fixed_point():
     w_star = rng.standard_normal(d)
     tasks = tuple(_random_consistent_task(rng, 2, d, w_star) for _ in range(3))
     seq = TaskSequence(tasks, w_star)
-    state = run_sequence(seq)
-    assert len(state.history) == 3
-    np.testing.assert_allclose(state.history[-1], state.w, atol=1e-15)
-    assert seq.tasks[-1].residual(state.w) <= 1e-9
+    w = run_sequence(seq)
+    # the runner walks the same trajectory as fitting the tasks one by one
+    w_step = np.zeros(d)
+    for task in tasks:
+        w_step = fit_closed_form(w_step, task)
+    np.testing.assert_array_equal(w, w_step)
+    assert seq.tasks[-1].residual(w) <= 1e-9
     # repeating the final task changes nothing: zero-loss fixed point
-    again = fit_closed_form(state.w, seq.tasks[-1])
-    np.testing.assert_allclose(again, state.w, atol=1e-12)
+    again = fit_closed_form(w, seq.tasks[-1])
+    np.testing.assert_allclose(again, w, atol=1e-12)
+    with pytest.raises(InvalidParameters, match="unknown solver"):
+        run_sequence(seq, "sgd")
 
 
 def test_run_sequence_full_span_replay_recovers_w_star():
     seq, _ = make_worst_case(3, 3)
     # both rows of the mixed task plus the final task span all of R^3
-    replay = (2, Fixed(((1, 0), (1, 1))))
-    state = run_sequence(seq, replay=replay)
-    np.testing.assert_allclose(state.w, seq.w_star, atol=1e-9)
+    mixed = seq.tasks[1]
+    w = run_sequence(augment_with_replay(seq, Task(X=mixed.X, y=mixed.y)))
+    np.testing.assert_allclose(w, seq.w_star, atol=1e-9)
     from continual_replay.metrics import forgetting_train
 
-    assert forgetting_train(seq, state.w) <= 1e-9
+    assert forgetting_train(seq, w) <= 1e-9
 
 
 def test_run_sequence_solvers_agree_with_replay():
     rng = np.random.default_rng(21)
     seq = _two_task_seq(rng, d=8)
-    replay = (1, UniformWithoutReplacement())
-    cfg = GdConfig(learning_rate=None, epochs=200000, convergence_tol=1e-11)
-    w_closed = run_sequence(seq, replay=replay, rng=np.random.default_rng(5)).w
-    w_gd = run_sequence(
-        seq, replay=replay, solver="gd", gd_config=cfg, rng=np.random.default_rng(5)
-    ).w
-    np.testing.assert_allclose(w_gd, w_closed, atol=1e-4)
+    replayed = augment_with_replay(seq, select_replay(seq, 1, np.random.default_rng(5)))
+    cfg = GdConfig(epochs=200000, convergence_tol=1e-11)
+    np.testing.assert_allclose(
+        run_sequence(replayed, "gd", cfg), run_sequence(replayed), atol=1e-4
+    )
 
 
 def test_replay_memory_validation():
+    # a memory is a Task, so Task's row/label check covers it
     with pytest.raises(DimensionMismatch):
-        ReplayMemory(rows=np.zeros((2, 3)), labels=np.zeros(1))
-    assert ReplayMemory(rows=np.zeros((1, 3)), labels=np.zeros(1)).size == 1
+        Task(X=np.zeros((2, 3)), y=np.zeros(1))
+    assert Task(X=np.zeros((1, 3)), y=np.zeros(1)).n_samples == 1

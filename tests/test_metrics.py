@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from continual_replay.errors import InvalidParameters, TooFewTasks
-from continual_replay.learner import Fixed, run_sequence
+from continual_replay.learner import augment_with_replay, run_sequence
 from continual_replay.linalg_core import Subspace, orthonormal_basis
 from continual_replay.metrics import (
     _REPLAY_CHUNK,
@@ -48,8 +48,7 @@ def test_forgetting_train_requires_two_tasks():
 @pytest.mark.parametrize("T", [2, 3, 5, 10])
 def test_worst_case_no_replay_constant(T):
     seq, _ = make_worst_case(T, 3)
-    state = run_sequence(seq)
-    f = forgetting_train(seq, state.w)
+    f = forgetting_train(seq, run_sequence(seq))
     assert f == pytest.approx(3.0 * A_SQ / (28.0 * (T - 1)), abs=1e-12)
 
 
@@ -58,9 +57,8 @@ def test_worst_case_no_replay_constant(T):
 def test_worst_case_replay_matches_projector_route(T, d):
     # dual-route check: the simulated replay run must match the value
     # obtained purely from projector algebra on the augmented final span
-    seq, (x2, _) = make_worst_case(T, d)
-    state = run_sequence(seq, replay=(1, Fixed(((T - 2, 1),))))
-    f = forgetting_train(seq, state.w)
+    seq, (x2, y2) = make_worst_case(T, d)
+    f = forgetting_train(seq, run_sequence(augment_with_replay(seq, Task(x2[None], [y2]))))
 
     r = seq.w_star.copy()
     for t, task in enumerate(seq.tasks):
@@ -84,8 +82,8 @@ def test_worst_case_rotation_invariance():
     rot = TaskSequence(
         tuple(Task(task.X @ Q.T, task.X @ Q.T @ w_star) for task in base.tasks), w_star
     )
-    f_base = forgetting_train(base, run_sequence(base).w)
-    f_rot = forgetting_train(rot, run_sequence(rot).w)
+    f_base = forgetting_train(base, run_sequence(base))
+    f_rot = forgetting_train(rot, run_sequence(rot))
     assert f_rot == pytest.approx(f_base, abs=1e-9)
 
 

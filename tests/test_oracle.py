@@ -12,6 +12,7 @@ from continual_replay.learner import fit_closed_form
 from continual_replay.linalg_core import min_norm_solve
 from continual_replay.oracle import (
     CLAIM_C2_STAT_MAX,
+    TAIL_FALSE_ALARM,
     binomial_upper_tail,
     claim_c2_statistics,
     oracle_claim_c2,
@@ -82,7 +83,7 @@ def test_claim_statistic_degenerate_and_bounds():
 
 def test_oracle_claim_c2():
     with pytest.raises(InvalidParameters):
-        oracle_claim_c2(100)
+        oracle_claim_c2(100, 0)
     v = oracle_claim_c2(20000, 0)
     assert v.passed and v.bound_or_expected == 1.4 and v.seed == 0
 
@@ -98,17 +99,17 @@ def test_projection_tail_bound_specializations():
 
 def test_oracle_projection_tails_validation():
     with pytest.raises(InvalidParameters):
-        oracle_random_projection_tails(11, 10, 10**4)
+        oracle_random_projection_tails(11, 10, 10**4, 0)
     with pytest.raises(InvalidParameters):
-        oracle_random_projection_tails(31, 5, 100)
+        oracle_random_projection_tails(31, 5, 100, 0)
 
 
 def test_oracle_projection_tails_pass():
+    # the oracle's own rule: the event count is not improbable at the bound
     for v in oracle_random_projection_tails(31, 5, 10**4, 3):
-        assert v.passed
-        assert v.observed <= v.bound_or_expected + 3.0 * math.sqrt(
-            v.bound_or_expected * (1.0 - v.bound_or_expected) / v.trials
-        )
+        count = round(v.observed * v.trials)
+        assert binomial_upper_tail(v.trials, v.bound_or_expected, count) >= TAIL_FALSE_ALARM
+        assert v.passed and v.seed == 3
 
 
 # One lower-tail event at d = 152 in the first 1e4 draws of this seed; a
@@ -149,11 +150,11 @@ def test_tail_check_fails_a_bound_100x_too_small(monkeypatch):
 
 def test_oracle_sandwich_validation():
     with pytest.raises(InvalidParameters):
-        oracle_projector_sandwich(11, 10, 0.4, 10)
+        oracle_projector_sandwich(11, 10, 0.4, 10, 0)
     with pytest.raises(InvalidParameters):
-        oracle_projector_sandwich(152, 10, 1.5, 10)
+        oracle_projector_sandwich(152, 10, 1.5, 10, 0)
     with pytest.raises(InvalidParameters):
-        oracle_projector_sandwich(152, 10, 0.0, 10)
+        oracle_projector_sandwich(152, 10, 0.0, 10, 0)
 
 
 def test_oracle_sandwich_epsilon_one_coincides():
