@@ -544,6 +544,9 @@ def _parse_m_list(text: str) -> list[int]:
         raise InvalidParameters(f"bad m list {text!r}") from exc
     if any(v < 0 for v in values):
         raise InvalidParameters("replay sizes must be non-negative")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise InvalidParameters(f"replay size {v} is listed twice")
     return values
 
 

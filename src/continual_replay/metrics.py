@@ -22,13 +22,12 @@ from .errors import DimensionMismatch, InvalidParameters, TooFewTasks
 from .linalg_core import Projector, Subspace, as_vector, orthonormal_basis, rank_mask
 from .task_gen import TaskSequence
 
-# Trials per batched QR in the replay Monte Carlo kernel. Larger chunks
-# gain little speed and add their buffers to the process's peak memory, so a
-# chunk also holds at most _REPLAY_CHUNK_ENTRIES matrix entries (8 MB). A
-# trial holds k1 * max(m, k2) entries per buffer (Z and its Q factor are
-# m x k1, B~ is k1 x k2): at d = 3000, m = 150, 512 trials would need
-# 1.8 GB per buffer.
-_REPLAY_CHUNK = 512
+# Trials per batched QR in the replay Monte Carlo kernel. A trial's stacked
+# [Z^T | B] holds k1 * (m + k2) entries, so a chunk is also capped at
+# _REPLAY_CHUNK_ENTRIES // (k1 * max(m, k2)) trials, which keeps that buffer
+# under 2 * _REPLAY_CHUNK_ENTRIES entries (16 MB): at d = 3000, m = 150, 4096
+# trials would need 15 GB. d = 152, m = 10 runs 694-trial chunks.
+_REPLAY_CHUNK = 4096
 _REPLAY_CHUNK_ENTRIES = 2**20
 # Draws per vectorized block in forgetting_test_mean.
 _TEST_CHUNK = 20000
@@ -138,20 +137,27 @@ def expected_replay_forgetting_two_tasks(
 
     The kernel never forms a d-vector per trial. Split
     W2 = W1 B + Q S with B = W1^T W2, Q an orthonormal basis of P_1 W2 and
-    S = Q^T P_1 W2. With Qz an orthonormal basis of span Z^T (a thin
-    Householder QR) and B~ = (I - Qz Qz^T) B, the union span is
-    span(W1 Qz) + span(W1 B~ + Q S), the two parts orthogonal. Since
+    S = Q^T P_1 W2. With B~ the part of B outside span Z^T, the union span
+    is span(W1 Z^T) + span(W1 B~ + Q S), the two parts orthogonal. Since
     q = P_1 w* is orthogonal to span W1, W1^T P~_2 q = -B~ y with y the
     pseudo-inverse solution of (B~^T B~ + S^T S) y = S^T Q^T q. The
     pseudo-inverse keeps the eigen-directions whose square-rooted
-    eigenvalue passes ``rank_mask`` (1e-10 of the largest). Only the
-    k2-column [B~; S] is squared; ``Z`` enters through an orthogonal
-    factorization, never through Z Z^T.
+    eigenvalue passes ``rank_mask`` (1e-10 of the largest).
+
+    B~ is read from one Householder QR of the k1 x (m + k2) matrix
+    [Z^T | B], R factor only (no Q is formed). Its trailing block
+    R22 = R[m:, m:] satisfies R22^T R22 = B~^T B~ whenever Z has full rank
+    (with probability 1), so ||B~ y|| = ||R22 y|| (Bjorck, Numerical
+    Methods for Least Squares Problems, 1996, sec. 1.3). For m >= k1 the
+    block has no rows and the value is exactly 0. A trial's value depends
+    on Z only through its row span, so the draw is used unscaled; only the
+    k2-column [R22; S] is squared, never Z.
 
     Trials run in chunks of up to ``_REPLAY_CHUNK``. A chunk draws all of its
     replay coefficients in one call, which consumes ``rng`` in the same
-    order as one draw per trial, and factors the stacked k1 x m matrices
-    Z^T in one batched QR.
+    order as one draw per trial, and factors the stacked matrices
+    [Z^T | B] in one batched QR (stacked ``mode="r"`` needs NumPy >= 1.22).
+    Chunking never shows in the output.
 
     Returns:
         {"mean", "std_err", "trials"} of the per-trial values.
@@ -176,16 +182,16 @@ def expected_replay_forgetting_two_tasks(
     S = Q.T @ C0
     c = S.T @ (Q.T @ q)
     StS = S.T @ S
-    scale = 1.0 / math.sqrt(k1)
     values = np.empty(trials)
-    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // (k1 * max(m, s2.rank))))
+    k2 = s2.rank
+    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // (k1 * max(m, k2))))
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        Z = rng.standard_normal((size, m, k1)) * scale
-        # [0], not .Q (NumPy >= 2.0 only) and not unpacking, which keeps R
-        # alive through the chunk: 5 MB more peak RSS at d = 152.
-        Qz = np.linalg.qr(Z.transpose(0, 2, 1))[0]
-        Bt = B - Qz @ (Qz.transpose(0, 2, 1) @ B)  # B~, size x k1 x k2
+        ZB = np.empty((size, m + k2, k1))
+        ZB[:, :m] = rng.standard_normal((size, m, k1))
+        ZB[:, m:] = B.T
+        R = np.linalg.qr(ZB.transpose(0, 2, 1), mode="r")
+        Bt = R[:, m:, m:]  # R22, Bt^T Bt = B~^T B~
         evals, evecs = np.linalg.eigh(Bt.transpose(0, 2, 1) @ Bt + StS)
         evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
         keep = rank_mask(np.sqrt(np.clip(evals, 0.0, None)))

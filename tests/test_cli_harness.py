@@ -68,6 +68,13 @@ def test_configuration_errors_exit_2(argv, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_replay_sweep_rejects_repeated_size(capsys):
+    # a repeated size would share one (m, solver) row and shift later draws
+    assert main(["replay-sweep", "--m", "0,1,1", "--trials", "2"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: replay size 1 is listed twice"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from continual_replay import metrics
 from continual_replay.errors import InvalidParameters, TooFewTasks
 from continual_replay.learner import augment_with_replay, run_sequence
 from continual_replay.linalg_core import Subspace, orthonormal_basis
 from continual_replay.metrics import (
     _REPLAY_CHUNK,
+    _REPLAY_CHUNK_ENTRIES,
     benign_replay_certificate,
     expected_forgetting_closed_form,
     expected_forgetting_trace_form,
@@ -139,7 +141,7 @@ def test_replay_expectation_full_span_is_zero():
     res = expected_replay_forgetting_two_tasks(
         s1, s2, info["p1"], m=2, trials=300, rng=np.random.default_rng(1)
     )
-    assert res["mean"] <= 1e-20
+    assert res["mean"] == 0.0 and res["std_err"] == 0.0
 
 
 def test_replay_expectation_matches_claim_statistic():
@@ -193,17 +195,23 @@ def _replay_case(name):
     [
         ("3d", 1, 3000),
         ("highdim", 10, 600),
+        ("highdim", 10, _REPLAY_CHUNK_ENTRIES // (151 * 10) + 1),  # past the entry-cap chunk
         ("3d", 1, 1),
+        ("3d", 1, 511),
+        ("3d", 1, 512),
+        ("3d", 1, 513),
+        ("3d", 2, 513),  # m = rank: replay spans task 1
         ("3d", 1, _REPLAY_CHUNK - 1),
         ("3d", 1, _REPLAY_CHUNK),
         ("3d", 1, _REPLAY_CHUNK + 1),
-        ("3d", 2, _REPLAY_CHUNK + 1),  # m = rank: replay spans task 1
+        ("3d", 2, _REPLAY_CHUNK + 1),
         ("3d", 5, 300),  # k2 + m > d: the stack has more rows than vh
         ("wide", 20, 300),  # 399 x 20 replay blocks: the entry cap gives 131-trial chunks
         ("rand-8-6-4", 1, 300),  # k1 + k2 > d: P_1 W2 has rank 2 < k2
         ("rand-8-6-4", 3, 300),
         ("rand-12-5-5", 4, 300),
         ("rand-8-6-4", 9, 300),  # m > k1: replay spans task 1
+        ("rand-10-4-3", 2, 513),
         ("rand-10-4-3", 2, _REPLAY_CHUNK + 1),  # k2 = 3 across a chunk boundary
     ],
 )
@@ -214,12 +222,24 @@ def test_chunked_replay_kernel_matches_per_trial_loop(case, m, trials):
     ref_mean, ref_se = _replay_forgetting_reference(s1, s2, w_star, m, trials, ref_rng)
     assert res["trials"] == trials
     if m >= s1.rank:
-        assert res["mean"] <= 1e-20 and ref_mean <= 1e-20
+        assert res["mean"] == 0.0 and ref_mean <= 1e-20
     else:
         assert res["mean"] == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
         assert res["std_err"] == pytest.approx(ref_se, rel=1e-12, abs=0.0)
     # same draws in the same order: downstream streams are unchanged
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case,m", [("3d", 1), ("rand-10-4-3", 2)])
+def test_replay_kernel_output_independent_of_chunk_size(monkeypatch, case, m):
+    s1, s2, w_star = _replay_case(case)
+    rng, small_rng = np.random.default_rng(5), np.random.default_rng(5)
+    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, 100, rng)
+    monkeypatch.setattr(metrics, "_REPLAY_CHUNK", 7)
+    small = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, 100, small_rng)
+    assert res["mean"].hex() == small["mean"].hex()
+    assert res["std_err"].hex() == small["std_err"].hex()
+    assert rng.bit_generator.state == small_rng.bit_generator.state
 
 
 def test_replay_expectation_validates():
