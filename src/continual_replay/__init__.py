@@ -32,7 +32,6 @@ from .learner import (
 from .linalg_core import (
     Projector,
     Subspace,
-    complement_basis,
     min_norm_solve,
     op_norm,
     orthonormal_basis,
@@ -88,7 +87,6 @@ __all__ = [
     "select_replay",
     "Projector",
     "Subspace",
-    "complement_basis",
     "min_norm_solve",
     "op_norm",
     "orthonormal_basis",

@@ -60,7 +60,6 @@ from .task_gen import (
     Task,
     TaskSequence,
     make_angle_pair,
-    make_avg_case_3d,
     make_avg_case_highdim,
     make_worst_case,
     sample_task,
@@ -200,14 +199,24 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, rows, analytic)
 
 
-def _two_task_case(d: int, epsilon: float | None):
-    if d == 3:
-        eps = EPSILON_3D if epsilon is None else epsilon
-        s1, s2, info = make_avg_case_3d(eps)
-        return "avg_case_3d", eps, s1, s2, info["p1"]
-    eps = 0.4 if epsilon is None else epsilon
-    s1, s2, info = make_avg_case_highdim(d, eps)
-    return "avg_case_highdim", eps, s1, s2, info["u_perp"]
+def _avg_case(cfg: ExperimentConfig, d: int) -> tuple[float, float, dict]:
+    """The shared body of both avg-case commands.
+
+    Builds the two-task case, checks the exact no-replay forgetting against
+    eps^2 (1 - eps^2) (a = 1 for the default w*), and runs the replay
+    kernel on the command's stream. Returns (that formula, the exact value,
+    the kernel's mean and standard error). The two values agree within the
+    gate but not always to the bit; each command emits the one it always has.
+    """
+    p = cfg.params
+    epsilon = p["epsilon"]
+    s1, s2, w_star = make_avg_case_highdim(d, epsilon)
+    base = epsilon**2 * (1.0 - epsilon**2)
+    exact = expected_forgetting_closed_form([s1, s2], w_star)
+    _require(abs(exact - base) <= 1e-12, "construction no longer matches its closed form")
+    rng = _stream(p["seed"], cfg.command)
+    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, p["m"], p["trials"], rng)
+    return base, exact, res
 
 
 def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
@@ -216,11 +225,7 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
     epsilon, m, trials, seed = p["epsilon"], p["m"], p["trials"], p["seed"]
     if trials < 10**3:
         raise InvalidParameters("avg-case-3d needs trials >= 10^3")
-    s1, s2, info = make_avg_case_3d(epsilon)
-    w_star = info["p1"]
-    base = expected_forgetting_closed_form([s1, s2], w_star)
-    rng = _stream(seed, "avg-case-3d")
-    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
+    _, base, res = _avg_case(cfg, 3)
     ratio = res["mean"] / base
     ratio_se = res["std_err"] / base
     row = {
@@ -243,7 +248,7 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, [row], analytic)
 
 
-def _check_highdim_constraints(d: int, m: int) -> None:
+def _check_highdim_constraints(d: int, m: int, epsilon: float) -> None:
     if not C1 < d:
         raise InvalidParameters(f"requires c1 < d: {C1} >= {d}")
     if not C2 * m < d - 1:
@@ -253,20 +258,16 @@ def _check_highdim_constraints(d: int, m: int) -> None:
         raise InvalidParameters(
             f"requires d-1 < exp(m ln m)/c3: {d - 1} >= {math.exp(m * math.log(m)) / C3}"
         )
+    if not (0.0 < epsilon < 0.5):
+        raise InvalidParameters(f"epsilon must be in (0, 1/2), got {epsilon}")
 
 
 def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
     """Replay vs no-replay expected forgetting in the high-dimensional regime."""
     p = cfg.params
     d, epsilon, m, trials, seed = p["d"], p["epsilon"], p["m"], p["trials"], p["seed"]
-    _check_highdim_constraints(d, m)
-    s1, s2, info = make_avg_case_highdim(d, epsilon)
-    w_star = info["u_perp"]
-    base = epsilon**2 * (1.0 - epsilon**2)  # a = 1 for the default w*
-    exact = expected_forgetting_closed_form([s1, s2], w_star)
-    _require(abs(exact - base) <= 1e-12, "construction no longer matches its closed form")
-    rng = _stream(seed, "avg-case-highdim")
-    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
+    _check_highdim_constraints(d, m, epsilon)
+    base, _, res = _avg_case(cfg, d)
     row = {
         "case": "avg_case_highdim",
         "d": d,
@@ -304,9 +305,13 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     )
     if not m_list:
         raise InvalidParameters("replay-sweep needs a nonempty m list")
-    case, eps, s1, s2, w_star = _two_task_case(d, epsilon)
-    if trials is None:
-        trials = 200 if case == "avg_case_3d" else 100
+    # The case name and the defaults that --d selects.
+    case, eps, default_trials = (
+        ("avg_case_3d", EPSILON_3D, 200) if d == 3 else ("avg_case_highdim", 0.4, 100)
+    )
+    eps = eps if epsilon is None else epsilon
+    trials = default_trials if trials is None else trials
+    s1, s2, w_star = make_avg_case_highdim(d, eps)
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
     n1 = s1.rank + max(3, s1.rank // 4)

@@ -1,8 +1,8 @@
 """Dense subspace and projector algebra.
 
 Everything downstream is built from the primitives here: SVD-based
-orthonormalization, orthogonal complements, principal angles, operator
-norms, and minimum-norm linear solves. Vectors and matrices are plain
+orthonormalization, principal angles, operator norms, and minimum-norm
+linear solves. Vectors and matrices are plain
 float64 numpy arrays; Subspace and Projector are thin immutable wrappers
 that validate their defining invariants on construction.
 
@@ -147,16 +147,6 @@ def orthonormal_basis(rows) -> Subspace:
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(rank_mask(s)))
     return Subspace(vh[:rank].T)
-
-
-def complement_basis(s: Subspace) -> Subspace:
-    """Orthonormal basis of the orthogonal complement of ``s``."""
-    d, k = s.ambient_dim, s.rank
-    if k == 0:
-        return Subspace(np.eye(d))
-    # Full SVD of the basis rows exposes the complement in the right factor.
-    _, _, vh = np.linalg.svd(s.basis.T, full_matrices=True)
-    return Subspace(vh[k:].T)
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:

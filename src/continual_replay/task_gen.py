@@ -1,10 +1,12 @@
 """Task sequence constructions.
 
 Builds every sequence the experiments use: the three-vector worst case
-whose forgetting is catastrophic, the 3D and high-dimensional two-task
-average cases where replaying a sample hurts in expectation, generic
-Gaussian-subspace tasks, and angle-parameterized pairs whose null spaces
-meet at a prescribed angle.
+whose forgetting is catastrophic, the two-task average case where replaying
+a sample hurts in expectation (one builder for every d >= 3; the 3D case is
+d = 3), generic Gaussian-subspace tasks, and angle-parameterized pairs
+whose null spaces meet at a prescribed angle. The fixed constructions are
+written directly from identity columns, at most one of them replaced, so no
+basis is computed by a factorization.
 
 All constructions share one realizability contract: every task satisfies
 X_t w* = y_t for a single target vector w*, and every generated sample row
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConsistencyFailure,
     DimensionMismatch,
     InconsistentSystem,
     InvalidParameters,
@@ -29,7 +30,6 @@ from .linalg_core import (
     Subspace,
     as_matrix,
     as_vector,
-    complement_basis,
     rank_mask,
 )
 
@@ -164,58 +164,33 @@ def make_worst_case(T: int, d: int) -> tuple[TaskSequence, tuple[np.ndarray, flo
     return seq, (x2.copy(), float(x2 @ w_star))
 
 
-def make_avg_case_3d(epsilon: float = EPSILON_3D) -> tuple[Subspace, Subspace, dict]:
-    """Two-task 3D construction where one replayed sample hurts on average.
+def make_avg_case_highdim(d: int, epsilon: float) -> tuple[Subspace, Subspace, np.ndarray]:
+    """The two-task construction where replaying random samples hurts on average.
 
-    Task 1 is span{v1, u} with u = eps v2 + sqrt(1-eps^2) v3; task 2 is
-    span{v3}. The unit vector p1 = sqrt(1-eps^2) v2 - eps v3 spans task 1's
-    null space, and the target is w* = p1 itself, so a = p1.w* = 1.
+    Task 1 is span{v1, u, v3, ..., v_{d-1}}: the first d-1 identity columns
+    with the second replaced by u = eps v2 + sqrt(1-eps^2) v_d. Task 2 is
+    span{v_d}. The target w* = sqrt(1-eps^2) v2 - eps v_d spans task 1's
+    null space, so a = ||w*|| = 1 and the no-replay forgetting is
+    eps^2 (1 - eps^2). At d = 3 this is the 3D case.
 
     Returns:
-        (task1_subspace, task2_subspace, {"p1": p1}).
+        (task1_subspace, task2_subspace, w_star).
     """
+    if d < 3:
+        raise InvalidParameters(f"two-task construction needs d >= 3, got {d}")
     if not (0.0 < epsilon < 1.0):
         raise InvalidParameters(f"epsilon must be in (0, 1), got {epsilon}")
-    basis = np.eye(3)
     comp = math.sqrt(1.0 - epsilon**2)
-    p1 = comp * basis[:, 1] - epsilon * basis[:, 2]
-    u = epsilon * basis[:, 1] + comp * basis[:, 2]
-    s1 = Subspace(np.column_stack([basis[:, 0], u]))
-    s2 = Subspace(basis[:, 2:3])
-    return s1, s2, {"p1": p1}
-
-
-def make_avg_case_highdim(d: int, epsilon: float) -> tuple[Subspace, Subspace, dict]:
-    """High-dimensional two-task construction (rank d-1 then rank 1).
-
-    Task 1 is span{u, v1, v3, ..., v_{d-1}} with u = eps v2 +
-    sqrt(1-eps^2) v_d; task 2 is span{v_d}. The unit vector
-    u_perp = sqrt(1-eps^2) v2 - eps v_d spans task 1's null space, and the
-    target is w* = u_perp itself, so a = u_perp.w* = 1.
-
-    Returns:
-        (task1_subspace, task2_subspace, {"u_perp": u_perp}).
-    """
-    if d < 4:
-        raise InvalidParameters(f"high-dim construction needs d >= 4, got {d}")
-    if not (0.0 < epsilon < 0.5):
-        raise InvalidParameters(f"epsilon must be in (0, 1/2), got {epsilon}")
-    comp = math.sqrt(1.0 - epsilon**2)
-    u = np.zeros(d)
-    u[1] = epsilon
-    u[d - 1] = comp
-    u_perp = np.zeros(d)
-    u_perp[1] = comp
-    u_perp[d - 1] = -epsilon
-
-    # One identity: each column view keeps its whole d x d base array alive.
     eye = np.eye(d)
-    cols = [u] + [eye[:, j] for j in [0] + list(range(2, d - 1))]
-    s1 = Subspace(np.column_stack(cols))
-    s2 = Subspace(eye[:, d - 1 : d])
-    if not np.max(np.abs(s1.basis.T @ u_perp)) < 1e-10:
-        raise ConsistencyFailure("u_perp no longer spans task 1's null space")
-    return s1, s2, {"u_perp": u_perp}
+    w1 = eye[:, : d - 1].copy()
+    w1[:, 1] = epsilon * eye[:, 1] + comp * eye[:, d - 1]
+    w_star = comp * eye[:, 1] - epsilon * eye[:, d - 1]
+    return Subspace(w1), Subspace(eye[:, d - 1 :]), w_star
+
+
+def make_avg_case_3d(epsilon: float = EPSILON_3D) -> tuple[Subspace, Subspace, np.ndarray]:
+    """The two-task construction at d = 3; the benchmark imports it by name."""
+    return make_avg_case_highdim(3, epsilon)
 
 
 def sample_task(s: Subspace, n: int, w_star, rng: np.random.Generator) -> Task:
@@ -256,15 +231,15 @@ def sample_task(s: Subspace, n: int, w_star, rng: np.random.Generator) -> Task:
 def make_angle_pair(theta: float, d: int) -> tuple[Subspace, Subspace]:
     """Two rank-(d-1) tasks whose null-space directions meet at ``theta``.
 
-    The null directions are a1 = v1 and a2 = cos(theta) v1 + sin(theta) v2.
+    Task 1 is span{v2, ..., vd}, with null direction a1 = v1. Task 2 is the
+    same with v2 replaced by -sin(theta) v1 + cos(theta) v2, so its null
+    direction is a2 = cos(theta) v1 + sin(theta) v2.
     """
     if not (0.0 <= theta <= math.pi / 2.0 + 1e-12):
         raise InvalidParameters(f"theta must be in [0, pi/2], got {theta}")
     if d < 2:
         raise InvalidParameters(f"angle pair needs d >= 2, got {d}")
-    eye = np.eye(d)
-    a1 = eye[:, 0]
-    a2 = math.cos(theta) * a1 + math.sin(theta) * eye[:, 1]
-    s1 = complement_basis(Subspace(a1[:, None]))
-    s2 = complement_basis(Subspace(a2[:, None]))
-    return s1, s2
+    w1 = np.eye(d)[:, 1:]
+    w2 = w1.copy()
+    w2[:2, 0] = (-math.sin(theta), math.cos(theta))
+    return Subspace(w1), Subspace(w2)

@@ -112,10 +112,10 @@ def test_criterion_03_replay_of_x1_is_neutral(criterion):
 
 def test_criterion_04_avg_case_3d_ratio(criterion):
     t0 = time.perf_counter()
-    s1, s2, info = make_avg_case_3d(EPSILON_3D)
-    base = expected_forgetting_closed_form([s1, s2], info["p1"])
+    s1, s2, p1 = make_avg_case_3d(EPSILON_3D)
+    base = expected_forgetting_closed_form([s1, s2], p1)
     rng = np.random.default_rng(42)
-    res = expected_replay_forgetting_two_tasks(s1, s2, info["p1"], 1, 10**5, rng)
+    res = expected_replay_forgetting_two_tasks(s1, s2, p1, 1, 10**5, rng)
     dt = time.perf_counter() - t0
     ratio = res["mean"] / base
     ratio_se = res["std_err"] / base
@@ -148,10 +148,10 @@ def test_criterion_06_highdim_replay_hurts(criterion):
     constraints_ok = (
         c1 < d and c2 * m < d - 1 and (d - 1) < math.exp(m * math.log(m)) / c3
     )
-    s1, s2, info = make_avg_case_highdim(d, eps)
+    s1, s2, u_perp = make_avg_case_highdim(d, eps)
     base = eps**2 * (1.0 - eps**2)  # = 0.1344, a = 1 for w* = u_perp
     rng = np.random.default_rng(42)
-    res = expected_replay_forgetting_two_tasks(s1, s2, info["u_perp"], m, 10**4, rng)
+    res = expected_replay_forgetting_two_tasks(s1, s2, u_perp, m, 10**4, rng)
     dt = time.perf_counter() - t0
     lo = res["mean"] - 3.0 * res["std_err"]
     ok = constraints_ok and lo > base and dt < 60.0

@@ -61,11 +61,26 @@ def test_worst_case_stdout(capsys):
         ["avg-case-3d", "--trials", "10"],
         ["avg-case-highdim", "--d", "100"],
         ["oracles", "--trials", "100"],
+        ["avg-case-highdim", "--epsilon", "0.5"],
+        ["replay-sweep", "--d", "2"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["0.5", "0", "nan", "inf"])
+def test_avg_case_highdim_epsilon_range_exits_2(epsilon, capsys):
+    # Thm 3.3 needs eps < 1/2; the builder itself takes any eps in (0, 1)
+    assert main(["avg-case-highdim", "--epsilon", epsilon, "--trials", "10"]) == 2
+    assert "epsilon must be in (0, 1/2)" in capsys.readouterr().err
+
+
+def test_replay_sweep_takes_every_epsilon_at_every_d():
+    # d = 4 takes the eps range that d = 3 takes
+    argv = ["replay-sweep", "--d", "4", "--epsilon", "0.6", "--m", "0,1", "--trials", "3"]
+    assert main(argv) == 0
 
 
 def test_replay_sweep_rejects_repeated_size(capsys):
@@ -94,7 +109,7 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
 @pytest.mark.parametrize("d, m", [(152, 10), (3000, 150)])
 def test_highdim_constraints_hold(d, m):
     # exp(m ln m) overflows a float at m = 150; the check must not
-    _check_highdim_constraints(d, m)
+    _check_highdim_constraints(d, m, 0.4)
 
 
 @pytest.mark.parametrize("d, m", [(100, 10), (152, 11), (152, 2)])
@@ -105,7 +120,7 @@ def test_highdim_constraints_violated(d, m):
         (152, 2): "requires d-1 < exp",
     }[(d, m)]
     with pytest.raises(InvalidParameters, match=violated):
-        _check_highdim_constraints(d, m)
+        _check_highdim_constraints(d, m, 0.4)
 
 
 def test_internal_assertion_exits_3(monkeypatch, capsys):
@@ -173,9 +188,11 @@ def test_package_has_no_leftover_imports():
 
 
 def test_highdim_closed_form_gate_exits_3(monkeypatch, capsys):
+    # both avg-case commands share the gate; a loop keeps this one test id
     monkeypatch.setattr(cli_harness, "expected_forgetting_closed_form", lambda *a: 1.0)
-    assert main(["avg-case-highdim", "--trials", "10"]) == 3
-    assert "closed form" in capsys.readouterr().err
+    for argv in (["avg-case-3d", "--trials", "1000"], ["avg-case-highdim", "--trials", "10"]):
+        assert main(argv) == 3, argv[0]
+        assert "closed form" in capsys.readouterr().err, argv[0]
 
 
 def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,6 @@ from continual_replay.linalg_core import (
     Projector,
     Subspace,
     as_vector,
-    complement_basis,
     min_norm_solve,
     op_norm,
     orthonormal_basis,
@@ -75,16 +74,6 @@ def test_projector_properties(seed):
 def test_projector_type_rejects_non_idempotent():
     with pytest.raises(DimensionMismatch):
         Projector(np.array([[0.5, 0.0], [0.0, 1.0]]))
-
-
-@pytest.mark.parametrize("seed", [0, 7, 21])
-def test_complement_basis(seed):
-    rng = np.random.default_rng(seed)
-    s = orthonormal_basis(rng.standard_normal((2, 6)))
-    c = complement_basis(s)
-    assert c.rank == 6 - s.rank
-    stacked = np.hstack([s.basis, c.basis])
-    np.testing.assert_allclose(stacked.T @ stacked, np.eye(6), atol=1e-12)
 
 
 def test_principal_angles_known_plane():

@@ -137,9 +137,9 @@ def test_replay_expectation_orthogonal_tasks_is_zero():
 
 
 def test_replay_expectation_full_span_is_zero():
-    s1, s2, info = make_avg_case_3d()
+    s1, s2, p1 = make_avg_case_3d()
     res = expected_replay_forgetting_two_tasks(
-        s1, s2, info["p1"], m=2, trials=300, rng=np.random.default_rng(1)
+        s1, s2, p1, m=2, trials=300, rng=np.random.default_rng(1)
     )
     assert res["mean"] == 0.0 and res["std_err"] == 0.0
 
@@ -148,15 +148,32 @@ def test_replay_expectation_matches_claim_statistic():
     # two independent Monte Carlo routes to the same number: simulating the
     # augmented projector vs sampling the scalar ratio statistic directly
     trials = 30000
-    s1, s2, info = make_avg_case_3d()
-    base = expected_forgetting_closed_form([s1, s2], info["p1"])
+    s1, s2, p1 = make_avg_case_3d()
+    base = expected_forgetting_closed_form([s1, s2], p1)
     res = expected_replay_forgetting_two_tasks(
-        s1, s2, info["p1"], 1, trials, np.random.default_rng(3)
+        s1, s2, p1, 1, trials, np.random.default_rng(3)
     )
     ratio = res["mean"] / base
     ratio_se = res["std_err"] / base
     mean, se = claim_c2_statistics(trials, 4)
     assert abs(ratio - mean) <= 3.0 * math.hypot(ratio_se, se)
+
+
+@pytest.mark.parametrize("eps", [math.sqrt(1.0 / 63.0), 0.3, 0.6])
+def test_replay_ratio_3d_is_one_over_two_eps(eps):
+    # In 3D one replayed row multiplies forgetting by exactly 1/(2 eps), so
+    # replay hurts exactly when eps < 1/2. |z| <= 4.9 is a two-sided gate
+    # with a false-alarm rate of about 1e-6.
+    s1, s2, p1 = make_avg_case_3d(eps)
+    base = expected_forgetting_closed_form([s1, s2], p1)
+    res = expected_replay_forgetting_two_tasks(
+        s1, s2, p1, 1, 10**5, np.random.default_rng(42)
+    )
+    exact = 1.0 / (2.0 * eps)
+    assert abs(res["mean"] / base - exact) <= 4.9 * res["std_err"] / base
+    # the oracle's scalar statistic has the same law at the default eps
+    mean, se = claim_c2_statistics(10**6, 42)
+    assert abs(mean - math.sqrt(63.0) / 2.0) <= 4.9 * se
 
 
 def _replay_forgetting_reference(s1, s2, w_star, m, trials, rng):
@@ -177,8 +194,7 @@ def _replay_forgetting_reference(s1, s2, w_star, m, trials, rng):
 
 def _replay_case(name):
     if name == "3d":
-        s1, s2, info = make_avg_case_3d()
-        return s1, s2, info["p1"]
+        return make_avg_case_3d()
     if name.startswith("rand-"):
         # a random subspace pair rand-d-k1-k2 and a random target
         d, k1, k2 = (int(x) for x in name.split("-")[1:])
@@ -186,8 +202,7 @@ def _replay_case(name):
         s1 = orthonormal_basis(g.standard_normal((k1, d)))
         s2 = orthonormal_basis(g.standard_normal((k2, d)))
         return s1, s2, g.standard_normal(d)
-    s1, s2, info = make_avg_case_highdim(400 if name == "wide" else 152, 0.4)
-    return s1, s2, info["u_perp"]
+    return make_avg_case_highdim(400 if name == "wide" else 152, 0.4)
 
 
 @pytest.mark.parametrize(
@@ -243,22 +258,22 @@ def test_replay_kernel_output_independent_of_chunk_size(monkeypatch, case, m):
 
 
 def test_replay_expectation_validates():
-    s1, s2, info = make_avg_case_3d()
+    s1, s2, p1 = make_avg_case_3d()
     with pytest.raises(InvalidParameters):
         expected_replay_forgetting_two_tasks(
-            s1, s2, info["p1"], 0, 10, np.random.default_rng(0)
+            s1, s2, p1, 0, 10, np.random.default_rng(0)
         )
     with pytest.raises(InvalidParameters):
         expected_replay_forgetting_two_tasks(
-            s1, s2, info["p1"], 1, 0, np.random.default_rng(0)
+            s1, s2, p1, 1, 0, np.random.default_rng(0)
         )
 
 
 def test_highdim_no_replay_closed_form():
     d, eps = 30, 0.4
-    s1, s2, info = make_avg_case_highdim(d, eps)
+    s1, s2, u_perp = make_avg_case_highdim(d, eps)
     expect = eps**2 * (1.0 - eps**2)
-    got = expected_forgetting_closed_form([s1, s2], info["u_perp"])
+    got = expected_forgetting_closed_form([s1, s2], u_perp)
     assert got == pytest.approx(expect, abs=1e-12)
 
 

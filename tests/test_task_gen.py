@@ -64,9 +64,8 @@ def test_worst_case_final_task_spans_complement():
 
 
 def test_avg_case_3d_geometry():
-    s1, s2, info = make_avg_case_3d()
+    s1, s2, p1 = make_avg_case_3d()
     assert s1.rank == 2 and s2.rank == 1 and s1.ambient_dim == 3
-    p1 = info["p1"]
     np.testing.assert_allclose(np.linalg.norm(p1), 1.0, atol=1e-12)
     np.testing.assert_allclose(s1.basis.T @ p1, np.zeros(2), atol=1e-12)
     # the span projector and the p1 line resolve the identity
@@ -77,23 +76,49 @@ def test_avg_case_3d_geometry():
     assert EPSILON_3D == pytest.approx(math.sqrt(1.0 / 63.0))
 
 
+def test_avg_case_3d_is_the_two_task_case_at_d3():
+    # the basis [v1, u] with u = eps v2 + sqrt(1 - eps^2) v3, to the bit
+    eps = EPSILON_3D
+    eye = np.eye(3)
+    u = eps * eye[:, 1] + math.sqrt(1.0 - eps**2) * eye[:, 2]
+    s1, s2, w_star = make_avg_case_3d(eps)
+    assert np.array_equal(s1.basis, np.column_stack([eye[:, 0], u]))
+    assert np.array_equal(s2.basis, eye[:, 2:])
+    assert np.array_equal(w_star, math.sqrt(1.0 - eps**2) * eye[:, 1] - eps * eye[:, 2])
+
+
 def test_avg_case_highdim_geometry():
     d, eps = 20, 0.4
-    s1, s2, info = make_avg_case_highdim(d, eps)
+    s1, s2, u_perp = make_avg_case_highdim(d, eps)
     assert s1.rank == d - 1 and s2.rank == 1
-    u_perp = info["u_perp"]
     np.testing.assert_allclose(np.linalg.norm(u_perp), 1.0, atol=1e-12)
     np.testing.assert_allclose(s1.basis.T @ u_perp, np.zeros(d - 1), atol=1e-10)
     assert u_perp @ u_perp == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("d", [20, 152])
+def test_avg_case_highdim_span_unchanged(d):
+    # the earlier basis [u, v1, v3, ..., v_{d-1}] spans the same task 1
+    eps = 0.4
+    comp = math.sqrt(1.0 - eps**2)
+    eye = np.eye(d)
+    u = eps * eye[:, 1] + comp * eye[:, d - 1]
+    old = np.column_stack([u, eye[:, 0], eye[:, 2 : d - 1]])
+    s1, s2, w_star = make_avg_case_highdim(d, eps)
+    gap = np.max(np.abs(s1.basis @ s1.basis.T - old @ old.T))
+    assert gap <= 1e-15
+    assert np.array_equal(s2.basis, eye[:, d - 1 :])
+    assert np.array_equal(w_star, comp * eye[:, 1] - eps * eye[:, d - 1])
+
+
 def test_avg_case_highdim_errors():
-    with pytest.raises(InvalidParameters, match="epsilon must be in"):
-        make_avg_case_highdim(20, 0.5)
-    with pytest.raises(InvalidParameters, match="epsilon must be in"):
-        make_avg_case_highdim(20, 0.0)
-    with pytest.raises(InvalidParameters, match="needs d >= 4"):
-        make_avg_case_highdim(3, 0.4)
+    with pytest.raises(InvalidParameters, match="needs d >= 3"):
+        make_avg_case_highdim(2, 0.4)
+    for eps in (0.0, 1.0, -0.2, 1.5, math.nan):
+        with pytest.raises(InvalidParameters, match=r"epsilon must be in \(0, 1\)"):
+            make_avg_case_highdim(20, eps)
+    # Thm 3.3's eps < 1/2 is the command's regime check, not the builder's
+    assert make_avg_case_highdim(20, 0.6)[0].rank == 19
 
 
 # -------------------------------------------------------------- sampling
@@ -130,13 +155,13 @@ def test_sample_task_second_moment_matches_projector():
 # ------------------------------------------------------------ angle pairs
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4, np.pi / 2])
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4, np.pi / 2, 1e-9])
 def test_make_angle_pair(theta):
     s1, s2 = make_angle_pair(theta, 4)
     assert s1.rank == s2.rank == 3
     angles = principal_angles(s1, s2)
-    np.testing.assert_allclose(angles[-1], theta, atol=1e-7)
-    np.testing.assert_allclose(angles[:-1], np.zeros(2), atol=1e-7)
+    np.testing.assert_allclose(angles[-1], theta, atol=1e-15)
+    np.testing.assert_allclose(angles[:-1], np.zeros(2), atol=1e-15)
 
 
 def test_make_angle_pair_errors():
