@@ -199,14 +199,13 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, rows, analytic)
 
 
-def _avg_case(cfg: ExperimentConfig, d: int) -> tuple[float, float, dict]:
+def _avg_case(cfg: ExperimentConfig, d: int) -> tuple[float, dict]:
     """The shared body of both avg-case commands.
 
-    Builds the two-task case, checks the exact no-replay forgetting against
-    eps^2 (1 - eps^2) (a = 1 for the default w*), and runs the replay
-    kernel on the command's stream. Returns (that formula, the exact value,
-    the kernel's mean and standard error). The two values agree within the
-    gate but not always to the bit; each command emits the one it always has.
+    Builds the two-task case, checks the exact no-replay forgetting (the
+    projector cascade) against eps^2 (1 - eps^2) (a = 1 for the default w*),
+    and runs the replay kernel on the command's stream. Returns (that
+    formula, the kernel's mean and standard error).
     """
     p = cfg.params
     epsilon = p["epsilon"]
@@ -216,7 +215,7 @@ def _avg_case(cfg: ExperimentConfig, d: int) -> tuple[float, float, dict]:
     _require(abs(exact - base) <= 1e-12, "construction no longer matches its closed form")
     rng = _stream(p["seed"], cfg.command)
     res = expected_replay_forgetting_two_tasks(s1, s2, w_star, p["m"], p["trials"], rng)
-    return base, exact, res
+    return base, res
 
 
 def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
@@ -225,7 +224,7 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
     epsilon, m, trials, seed = p["epsilon"], p["m"], p["trials"], p["seed"]
     if trials < 10**3:
         raise InvalidParameters("avg-case-3d needs trials >= 10^3")
-    _, base, res = _avg_case(cfg, 3)
+    base, res = _avg_case(cfg, 3)
     ratio = res["mean"] / base
     ratio_se = res["std_err"] / base
     row = {
@@ -267,7 +266,7 @@ def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     d, epsilon, m, trials, seed = p["d"], p["epsilon"], p["m"], p["trials"], p["seed"]
     _check_highdim_constraints(d, m, epsilon)
-    base, _, res = _avg_case(cfg, d)
+    base, res = _avg_case(cfg, d)
     row = {
         "case": "avg_case_highdim",
         "d": d,

@@ -39,7 +39,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf")
     return arr
 
@@ -54,7 +54,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf")
     return arr
 
@@ -83,7 +83,7 @@ class Subspace:
         if k > d:
             raise DimensionMismatch(f"rank {k} outside [0, {d}]")
         gram = basis.T @ basis
-        if k and np.max(np.abs(gram - np.eye(k))) > PROJECTOR_TOL:
+        if k and np.abs(gram - np.eye(k)).max() > PROJECTOR_TOL:
             raise DimensionMismatch("basis columns are not orthonormal")
 
     @property
@@ -108,12 +108,12 @@ class Projector:
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"projector must be square, got {mat.shape}")
         object.__setattr__(self, "matrix", _frozen(mat))
-        if np.max(np.abs(mat - mat.T)) > PROJECTOR_TOL:
+        if np.abs(mat - mat.T).max() > PROJECTOR_TOL:
             raise DimensionMismatch("projector is not symmetric")
-        if np.max(np.abs(mat @ mat - mat)) > PROJECTOR_TOL:
+        if np.abs(mat @ mat - mat).max() > PROJECTOR_TOL:
             raise DimensionMismatch("projector is not idempotent")
         eigs = np.linalg.eigvalsh(mat)
-        if np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1.0))) > EIGENVALUE_TOL:
+        if np.minimum(np.abs(eigs), np.abs(eigs - 1.0)).max() > EIGENVALUE_TOL:
             raise DimensionMismatch("projector eigenvalues are not in {0, 1}")
 
     @property

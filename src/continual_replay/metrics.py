@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, TooFewTasks
-from .linalg_core import Projector, Subspace, as_vector, orthonormal_basis, rank_mask
+from .linalg_core import Projector, Subspace, as_matrix, as_vector, orthonormal_basis, rank_mask
 from .task_gen import TaskSequence
 
 # Trials per batched QR in the replay Monte Carlo kernel. A trial's stacked
@@ -108,16 +108,19 @@ def expected_forgetting_closed_form(subspaces: list[Subspace], w_star) -> float:
 def replay_null_projector(s2: Subspace, memory_rows) -> Projector:
     """Null projector of the second task after adding replay rows.
 
-    The augmented range is the exact span of the task subspace together
-    with the stored rows (SVD rank decision, no iterative training).
+    The augmented range is the row span of [W2^T; rows], read from one thin
+    SVD of that stack: the right singular vectors that pass ``rank_mask``
+    form U, and the result is I - U^T U (no iterative training). The
+    ``Projector`` validation (symmetric, idempotent, eigenvalues in {0, 1})
+    is the check on what this returns.
     """
     rows = np.atleast_2d(np.asarray(memory_rows, dtype=float))
     if rows.size and rows.shape[1] != s2.ambient_dim:
         raise DimensionMismatch("memory rows do not match the ambient dimension")
     stacked = np.vstack([s2.basis.T, rows]) if rows.size else s2.basis.T
-    union = orthonormal_basis(stacked)
-    d = s2.ambient_dim
-    return Projector(np.eye(d) - union.basis @ union.basis.T)
+    _, s, vh = np.linalg.svd(as_matrix(stacked, "rows"), full_matrices=False)
+    U = vh[rank_mask(s)]
+    return Projector(np.eye(s2.ambient_dim) - U.T @ U)
 
 
 def expected_replay_forgetting_two_tasks(

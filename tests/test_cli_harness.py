@@ -5,7 +5,10 @@ import filecmp
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,12 +219,36 @@ def test_output_error_at_write_time_exits_2(tmp_path, capsys):
 
 
 def test_reruns_are_bit_identical(tmp_path):
-    argv = ["replay-sweep", "--d", "3", "--m", "0,1,2", "--trials", "5", "--seed", "7"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b)]) == 0
-    assert filecmp.cmp(a, b, shallow=False)
-    assert filecmp.cmp(tmp_path / "a.config.json", tmp_path / "b.config.json", shallow=False)
+    for argv in (
+        ["replay-sweep", "--d", "3", "--m", "0,1,2", "--trials", "5", "--seed", "7"],
+        ["benign-check", "--d", "5", "--trials", "20", "--seed", "7"],
+    ):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        assert filecmp.cmp(a, b, shallow=False), argv
+        assert filecmp.cmp(
+            tmp_path / "a.config.json", tmp_path / "b.config.json", shallow=False
+        ), argv
+
+
+def test_optimized_interpreter_writes_the_same_bytes(tmp_path):
+    # The checks are explicit raises, not asserts, so python -O runs them too
+    # and must produce the same artifacts.
+    env = dict(os.environ, PYTHONPATH=str(Path(continual_replay.__file__).parents[1]))
+    argv = ["-m", "continual_replay", "benign-check", "--d", "5", "--trials", "10"]
+    for flags, name in (([], "plain"), (["-O"], "optimized")):
+        proc = subprocess.run(
+            [sys.executable, *flags, *argv, "--out", str(tmp_path / f"{name}.csv")],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for suffix in (".csv", ".config.json"):
+        assert filecmp.cmp(
+            tmp_path / f"plain{suffix}", tmp_path / f"optimized{suffix}", shallow=False
+        )
 
 
 @pytest.mark.parametrize(
@@ -307,6 +334,19 @@ def test_benign_check_small(tmp_path):
     assert len(rows) == 40
     assert all(r["violations"] == "0" for r in rows if r["certified"] == "True")
     assert any(r["certified"] == "True" for r in rows)
+
+
+def test_benign_check_d6_counts(tmp_path):
+    out = tmp_path / "benign.csv"
+    argv = ["benign-check", "--d", "6", "--trials", "200", "--seed", "42"]
+    assert main(argv + ["--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "benign.config.json").read_text())
+    assert sidecar["analytic_predictions"]["certified_pairs"] == 135
+    assert sidecar["analytic_predictions"]["violations"] == 0
+    assert sidecar["diagnostics"] == {"vacuous_subsets": 6078, "pairs_all_vacuous": 74}
+    rows = _read_csv(out)
+    assert sum(r["certified"] == "True" for r in rows) == 135
+    assert sum(int(r["violations"]) for r in rows) == 0
 
 
 def test_oracles_command(tmp_path):

@@ -51,9 +51,38 @@ def test_rank_cut_off_is_relative():
     np.testing.assert_allclose(min_norm_solve(X, X @ np.ones(2)), [1.0, 0.0])
 
 
-def test_subspace_rejects_non_orthonormal():
-    with pytest.raises(DimensionMismatch):
-        Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
+@pytest.mark.parametrize(
+    "cls,arg,exc,message",
+    [
+        (Projector, np.ones((2, 3)), DimensionMismatch, "projector must be square, got (2, 3)"),
+        (Projector, [[1.0, 1.0], [0.0, 0.0]], DimensionMismatch, "projector is not symmetric"),
+        (Projector, [[0.5, 0.0], [0.0, 1.0]], DimensionMismatch, "projector is not idempotent"),
+        (Projector, [[np.nan, 0.0], [0.0, 1.0]], NonFiniteInput, "projector contains NaN or Inf"),
+        (Projector, np.ones(3), DimensionMismatch, "projector must be 2-D, got shape (3,)"),
+        (Subspace, [[1.0], [np.nan]], NonFiniteInput, "basis contains NaN or Inf"),
+        (Subspace, np.eye(2, 3), DimensionMismatch, "rank 3 outside [0, 2]"),
+        (
+            Subspace,
+            [[1.0, 1.0], [0.0, 1.0]],
+            DimensionMismatch,
+            "basis columns are not orthonormal",
+        ),
+    ],
+    ids=[
+        "projector-non-square",
+        "projector-non-symmetric",
+        "projector-non-idempotent",
+        "projector-nan",
+        "projector-1d",
+        "subspace-nan",
+        "subspace-k-above-d",
+        "subspace-non-orthonormal",
+    ],
+)
+def test_validation_rejects(cls, arg, exc, message):
+    with pytest.raises(exc) as info:
+        cls(arg)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
@@ -69,11 +98,6 @@ def test_projector_properties(seed):
     total = onto.matrix + null.matrix
     np.testing.assert_allclose(total, np.eye(7), atol=1e-12)
     assert onto.ambient_dim == 7 and s.ambient_dim == 7 and s.rank == 3
-
-
-def test_projector_type_rejects_non_idempotent():
-    with pytest.raises(DimensionMismatch):
-        Projector(np.array([[0.5, 0.0], [0.0, 1.0]]))
 
 
 def test_principal_angles_known_plane():

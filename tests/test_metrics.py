@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from continual_replay import metrics
-from continual_replay.errors import InvalidParameters, TooFewTasks
+from continual_replay.errors import (
+    DimensionMismatch,
+    InvalidParameters,
+    NonFiniteInput,
+    TooFewTasks,
+)
 from continual_replay.learner import augment_with_replay, run_sequence
-from continual_replay.linalg_core import Subspace, orthonormal_basis
+from continual_replay.linalg_core import Projector, Subspace, orthonormal_basis
 from continual_replay.metrics import (
     _REPLAY_CHUNK,
     _REPLAY_CHUNK_ENTRIES,
@@ -329,3 +334,43 @@ def test_replay_null_projector_kills_union_span():
     proj = replay_null_projector(s2, rows)
     np.testing.assert_allclose(proj.matrix @ rows[0], np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(proj.matrix @ s2.basis, np.zeros((3, 1)), atol=1e-12)
+
+
+def _replay_null_projector_reference(s2, rows):
+    # The union Subspace route: orthonormal_basis of [W2^T; rows], then I - U U^T.
+    stacked = np.vstack([s2.basis.T, rows]) if rows.size else s2.basis.T
+    union = orthonormal_basis(stacked)
+    return Projector(np.eye(s2.ambient_dim) - union.basis @ union.basis.T)
+
+
+@pytest.mark.parametrize("d", [4, 6, 9])
+@pytest.mark.parametrize("null_dim", [1, 2])
+@pytest.mark.parametrize("kind", ["random", "inside_s2", "repeated"])
+def test_replay_null_projector_matches_subspace_route(d, null_dim, kind):
+    rng = np.random.default_rng(10 * d + null_dim)
+    k2 = d - null_dim
+    s2 = orthonormal_basis(rng.standard_normal((k2, d)))
+    for m in range(d + 1):  # k2 + m >= d is the vacuous range for random rows
+        if kind == "random":
+            rows = rng.standard_normal((m, d))
+        elif kind == "inside_s2":
+            rows = rng.standard_normal((m, k2)) @ s2.basis.T
+        else:
+            rows = np.repeat(rng.standard_normal((1, d)), m, axis=0)
+        got = replay_null_projector(s2, rows).matrix
+        want = _replay_null_projector_reference(s2, rows).matrix
+        assert np.array_equal(got, want), (m, np.abs(got - want).max())
+        assert (got.trace() < 0.5) == (want.trace() < 0.5)
+        if kind == "random":
+            assert (got.trace() < 0.5) == (k2 + m >= d)
+
+
+def test_replay_null_projector_rejects_bad_rows():
+    s2 = orthonormal_basis(np.random.default_rng(3).standard_normal((4, 6)))
+    for bad in (np.nan, np.inf):
+        rows = np.ones((2, 6))
+        rows[1, 3] = bad
+        with pytest.raises(NonFiniteInput):
+            replay_null_projector(s2, rows)
+    with pytest.raises(DimensionMismatch):
+        replay_null_projector(s2, np.ones((2, 5)))
