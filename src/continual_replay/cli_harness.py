@@ -41,6 +41,7 @@ from .learner import (
 )
 from .linalg_core import Subspace, orthonormal_basis
 from .metrics import (
+    SQRT2_OVER_2,
     benign_replay_certificate,
     expected_forgetting_closed_form,
     expected_forgetting_trace_form,
@@ -482,7 +483,7 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
         )
     _require(violations_total == 0, f"{violations_total} certified pairs gained forgetting")
     analytic = {
-        "certificate_threshold": math.sqrt(2.0) / 2.0,
+        "certificate_threshold": SQRT2_OVER_2,
         "certified_pairs": certified_count,
         "violations": violations_total,
     }

@@ -29,6 +29,15 @@ PROJECTOR_TOL = 1e-10
 EIGENVALUE_TOL = 1e-8
 
 
+def _as_finite(x, ndim: int, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} contains NaN or Inf")
+    return arr
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array.
 
@@ -36,12 +45,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
         NonFiniteInput: if any entry is NaN or Inf.
         DimensionMismatch: if the input is not 1-D.
     """
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{name} contains NaN or Inf")
-    return arr
+    return _as_finite(v, 1, name)
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -51,12 +55,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         NonFiniteInput: if any entry is NaN or Inf.
         DimensionMismatch: if the input is not 2-D.
     """
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{name} contains NaN or Inf")
-    return arr
+    return _as_finite(m, 2, name)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

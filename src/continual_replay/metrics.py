@@ -19,7 +19,15 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, TooFewTasks
-from .linalg_core import Projector, Subspace, as_matrix, as_vector, orthonormal_basis, rank_mask
+from .linalg_core import (
+    Projector,
+    Subspace,
+    as_matrix,
+    as_vector,
+    op_norm,
+    orthonormal_basis,
+    rank_mask,
+)
 from .task_gen import TaskSequence
 
 # Trials per batched QR in the replay Monte Carlo kernel. A trial's stacked
@@ -225,7 +233,7 @@ def benign_replay_certificate(s1: Subspace, s2: Subspace) -> dict:
     d = s1.ambient_dim
     P1 = np.eye(d) - s1.basis @ s1.basis.T
     P2 = np.eye(d) - s2.basis @ s2.basis.T
-    value = float(np.linalg.svd(P2 @ P1, compute_uv=False)[0]) if d else 0.0
+    value = op_norm(P2 @ P1)
     return {"op_norm_value": value, "certified": bool(value <= SQRT2_OVER_2 + 1e-12)}
 
 
@@ -236,18 +244,24 @@ def expected_forgetting_trace_form(
 
     With A = P_2 P_1 (or P~_2 P_1 when ``replay_projector``, the null
     projector of the replay-augmented second task, is given), the
-    expectation equals trace(A^T A - (A^T A)^2).
+    expectation equals trace(A^T A - (A^T A)^2). It is computed in task 1's
+    coordinates as trace(G) - ||G||_F^2 with G = W1^T P_2 W1, so P_1 is
+    never formed. The two agree: inside (0, 1) the eigenvalues of G are
+    the squared cosines of the principal angles between task 1 and the
+    range of P_2, and those of A^T A = P_1 P_2 P_1 are their squared sines,
+    the same angles read against task 1's complement (Halmos 1969). x - x^2
+    takes the same value at x and 1 - x, and the eigenvalues 0 and 1 add
+    nothing.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("task subspaces live in different dimensions")
     d = s1.ambient_dim
-    P1 = np.eye(d) - s1.basis @ s1.basis.T
     if replay_projector is None:
         P2 = np.eye(d) - s2.basis @ s2.basis.T
     else:
         if replay_projector.ambient_dim != d:
             raise DimensionMismatch("replay projector dimension mismatch")
         P2 = replay_projector.matrix
-    A = P2 @ P1
-    M = A.T @ A
-    return float(np.trace(M) - np.sum(M * M))
+    W1 = s1.basis
+    G = W1.T @ P2 @ W1
+    return float(np.trace(G) - np.sum(G * G))

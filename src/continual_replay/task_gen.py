@@ -26,12 +26,7 @@ from .errors import (
     InvalidParameters,
     RankDeficiency,
 )
-from .linalg_core import (
-    Subspace,
-    as_matrix,
-    as_vector,
-    rank_mask,
-)
+from .linalg_core import Subspace, _frozen, as_matrix, as_vector, rank_mask
 
 # Default construction parameter for the 3D average case.
 EPSILON_3D = math.sqrt(1.0 / 63.0)
@@ -53,12 +48,8 @@ class Task:
             raise DimensionMismatch(
                 f"{X.shape[0]} rows but {y.shape[0]} labels"
             )
-        frozen_X = np.array(X, copy=True)
-        frozen_X.flags.writeable = False
-        frozen_y = np.array(y, copy=True)
-        frozen_y.flags.writeable = False
-        object.__setattr__(self, "X", frozen_X)
-        object.__setattr__(self, "y", frozen_y)
+        object.__setattr__(self, "X", _frozen(X))
+        object.__setattr__(self, "y", _frozen(y))
 
     @property
     def n_samples(self) -> int:
@@ -91,10 +82,8 @@ class TaskSequence:
                 raise DimensionMismatch(f"task {i} has ambient dim {task.ambient_dim} != {d}")
             if task.residual(w_star) > REALIZABILITY_TOL:
                 raise InconsistentSystem(f"task {i} is not realizable by w_star")
-        frozen = np.array(w_star, copy=True)
-        frozen.flags.writeable = False
         object.__setattr__(self, "tasks", tasks)
-        object.__setattr__(self, "w_star", frozen)
+        object.__setattr__(self, "w_star", _frozen(w_star))
 
     @property
     def ambient_dim(self) -> int:
@@ -105,15 +94,13 @@ class TaskSequence:
 
 
 def _unit_filler(basis_tail: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One random unit-norm row inside span(columns of basis_tail)."""
-    coeffs = rng.standard_normal(basis_tail.shape[1])
-    row = basis_tail @ coeffs
-    norm = np.linalg.norm(row)
-    while norm < 1e-12:  # essentially impossible; re-draw defensively
-        coeffs = rng.standard_normal(basis_tail.shape[1])
-        row = basis_tail @ coeffs
-        norm = np.linalg.norm(row)
-    return row / norm
+    """One random unit-norm row inside span(columns of basis_tail).
+
+    A zero-norm draw has probability 0; its NaN row would fail ``Task``'s
+    finiteness check.
+    """
+    row = basis_tail @ rng.standard_normal(basis_tail.shape[1])
+    return row / np.linalg.norm(row)
 
 
 def make_worst_case(T: int, d: int) -> tuple[TaskSequence, tuple[np.ndarray, float]]:

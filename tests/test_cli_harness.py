@@ -190,6 +190,20 @@ def test_package_has_no_leftover_imports():
     assert set(exported) == set(_imported_names(init)) | {"__version__"}
 
 
+def test_package_import_loads_the_six_layers_only():
+    # The benchmark's set-up probe times a bare `import continual_replay`;
+    # the root must keep loading its six layers and not the CLI.
+    env = dict(os.environ, PYTHONPATH=str(Path(continual_replay.__file__).parents[1]))
+    code = (
+        "import sys, continual_replay\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('continual_replay')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    layers = ["errors", "learner", "linalg_core", "metrics", "oracle", "task_gen"]
+    assert proc.stdout.split() == ["continual_replay"] + [f"continual_replay.{m}" for m in layers]
+
+
 def test_highdim_closed_form_gate_exits_3(monkeypatch, capsys):
     # both avg-case commands share the gate; a loop keeps this one test id
     monkeypatch.setattr(cli_harness, "expected_forgetting_closed_form", lambda *a: 1.0)

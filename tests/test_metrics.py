@@ -309,6 +309,30 @@ def test_trace_form_matches_rank_one_formula(theta):
     )
 
 
+def _trace_form_reference(s1, s2, proj=None):
+    # The dense route: A = P_2 P_1 with both d x d null projectors formed.
+    d = s1.ambient_dim
+    P1 = np.eye(d) - s1.basis @ s1.basis.T
+    P2 = np.eye(d) - s2.basis @ s2.basis.T if proj is None else proj.matrix
+    A = P2 @ P1
+    M = A.T @ A
+    return float(np.trace(M) - np.sum(M * M))
+
+
+def test_trace_form_matches_dense_projector_route():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        d = int(rng.integers(3, 12))
+        k1, k2, m = (int(rng.integers(0, d + 1)) for _ in range(3))
+        s1 = orthonormal_basis(rng.standard_normal((k1, d)))
+        s2 = orthonormal_basis(rng.standard_normal((k2, d)))
+        # m = 0 gives the plain null projector; k2 + m >= d a vacuous replay
+        proj = replay_null_projector(s2, rng.standard_normal((m, d)))
+        for p in (None, proj):
+            got = expected_forgetting_trace_form(s1, s2, p)
+            assert abs(got - _trace_form_reference(s1, s2, p)) <= 1e-13, (d, k1, k2, m)
+
+
 def test_trace_form_replay_never_increases_when_certified():
     rng = np.random.default_rng(17)
     checked = 0
