@@ -50,6 +50,7 @@ from .metrics import (
     replay_null_projector,
 )
 from .oracle import (
+    CLAIM_C2_BOUND,
     OracleVerdict,
     oracle_claim_c2,
     oracle_min_norm,
@@ -69,11 +70,10 @@ from .task_gen import (
 # Thm 3.3 regime constants; validated before the high-dimensional command runs.
 C1, C2, C3 = 120, 15, 97
 
-_GD_EXACTISH = GdConfig(epochs=100000, convergence_tol=1e-11)
 # Replay-augmented sweep tasks can be arbitrarily ill-conditioned in tail
 # draws, where no epoch budget resolves the near-singular direction; the
 # CSV's max_fit_residual reports how far each fit got.
-_GD_SWEEP = replace(_GD_EXACTISH, convergence_tol=1e-1)
+_GD_SWEEP = GdConfig(convergence_tol=1e-1)
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     mixed = seq.tasks[T - 2]  # rows x1, x2
 
     def run(replayed: TaskSequence):
-        w = run_sequence(replayed, solver, _GD_EXACTISH)
+        w = run_sequence(replayed, solver)
         return w, forgetting_train(seq, w), _projector_train_forgetting(replayed)
 
     w_plain, f_plain, proj_no = run(seq)
@@ -238,13 +238,13 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
         "no_replay_analytic": base,
         "ratio": ratio,
         "ratio_std_err": ratio_se,
-        "bound": 1.4,
-        "abs_dev_bound": abs(ratio - 1.4),
-        "meets_bound_3sigma": bool(ratio + 3.0 * ratio_se >= 1.4),
+        "bound": CLAIM_C2_BOUND,
+        "abs_dev_bound": abs(ratio - CLAIM_C2_BOUND),
+        "meets_bound_3sigma": bool(ratio + 3.0 * ratio_se >= CLAIM_C2_BOUND),
         "exceeds_one_3sigma": bool(ratio - 3.0 * ratio_se > 1.0),
         "seed": seed,
     }
-    analytic = {"no_replay": base, "ratio_lower_bound": 1.4}
+    analytic = {"no_replay": base, "ratio_lower_bound": CLAIM_C2_BOUND}
     return ExperimentResult(cfg, [row], analytic)
 
 
@@ -388,7 +388,7 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         t1 = Task(X=s1.basis.T, y=s1.basis.T @ w_star)
         t2 = Task(X=s2.basis.T, y=s2.basis.T @ w_star)
         seq = TaskSequence((t1, t2), w_star)
-        emp = _span_loss(s1, run_sequence(seq, solver, _GD_EXACTISH), w_star)
+        emp = _span_loss(s1, run_sequence(seq, solver), w_star)
         c2t = math.cos(theta) ** 2
         analytic = c2t * (1.0 - c2t)
         rows.append(
@@ -657,8 +657,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, no usage block; exit 2 as argparse does
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="continual-replay",
         description="Replay experiments for over-parameterized continual linear regression.",
         epilog=(
@@ -729,8 +734,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         # Checked before the run, so a bad path does not cost a whole experiment.
         out_dir = os.path.dirname(args.out) or "."
-        if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
-            print(f"cannot write output: {out_dir!r} is not writable", file=sys.stderr)
+        writable = os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)
+        if not args.out or os.path.isdir(args.out) or not writable:
+            print(f"cannot write output: {args.out!r} is not a writable file", file=sys.stderr)
             return 2
     try:
         cfg = _resolve_config(args)

@@ -30,8 +30,8 @@ from .task_gen import Task, TaskSequence
 class GdConfig:
     """Full-batch gradient-descent settings; the step is 1/lambda_max(X^T X) per task."""
 
-    epochs: int = 7000
-    convergence_tol: float = 1e-10
+    epochs: int = 100000
+    convergence_tol: float = 1e-11
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -52,8 +52,6 @@ def fit_closed_form(w_prev, task: Task) -> np.ndarray:
     w_prev = as_vector(w_prev, "w_prev")
     if w_prev.shape[0] != task.ambient_dim:
         raise DimensionMismatch("w_prev dimension does not match the task")
-    if task.n_samples == 0:
-        return w_prev.copy()
     return w_prev + min_norm_solve(task.X, task.y - task.X @ w_prev)
 
 
@@ -79,12 +77,10 @@ def fit_gd(w_prev, task: Task, cfg: GdConfig | None = None) -> np.ndarray:
     if cfg is None:
         cfg = GdConfig()
     X, y = task.X, task.y
-    if X.shape[0] == 0:
-        return w_prev.copy()
     U, svals, Vt = np.linalg.svd(X, full_matrices=False)
-    gram_top = float(svals[0]) ** 2
+    gram_top = float(svals.max(initial=0.0)) ** 2
     if gram_top == 0.0:
-        # All-zero rows constrain nothing; consistency was already checked.
+        # No rows or all-zero rows constrain nothing; consistency was checked.
         return w_prev.copy()
     lr = 1.0 / gram_top
     # Every s > 0 counts: gradient descent moves along tiny directions too.
@@ -117,15 +113,13 @@ def select_replay(seq: TaskSequence, m: int, rng: np.random.Generator) -> Task:
     """
     if m < 0:
         raise InvalidParameters("m must be >= 0")
-    earlier = seq.tasks[:-1]
-    available = sum(task.n_samples for task in earlier)
+    available = sum(task.n_samples for task in seq.tasks[:-1])
     if m > available:
         raise InvalidParameters(f"asked for {m} rows, only {available} available")
-    if m == 0:
-        return Task(np.zeros((0, seq.ambient_dim)), np.zeros(0))
     chosen = rng.choice(available, size=m, replace=False)
-    X = np.vstack([task.X for task in earlier])
-    y = np.concatenate([task.y for task in earlier])
+    # Stacking every task keeps the pool non-empty; indices stay below `available`.
+    X = np.vstack([task.X for task in seq.tasks])
+    y = np.concatenate([task.y for task in seq.tasks])
     return Task(X[chosen], y[chosen])
 
 

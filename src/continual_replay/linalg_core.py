@@ -82,7 +82,7 @@ class Subspace:
         if k > d:
             raise DimensionMismatch(f"rank {k} outside [0, {d}]")
         gram = basis.T @ basis
-        if k and np.abs(gram - np.eye(k)).max() > PROJECTOR_TOL:
+        if np.abs(gram - np.eye(k)).max(initial=0.0) > PROJECTOR_TOL:
             raise DimensionMismatch("basis columns are not orthonormal")
 
     @property
@@ -140,9 +140,6 @@ def orthonormal_basis(rows) -> Subspace:
         (``rank_mask``).
     """
     mat = as_matrix(rows, "rows")
-    d = mat.shape[1]
-    if mat.shape[0] == 0:
-        return Subspace(np.zeros((d, 0)))
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(rank_mask(s)))
     return Subspace(vh[:rank].T)
@@ -167,8 +164,6 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
         )
     if a.rank < b.rank:
         a, b = b, a
-    if b.rank == 0:
-        return np.zeros(0)
     cross = a.basis.T @ b.basis
     # Both come out descending: cosines pair with the ascending angles,
     # sines with the descending ones.
@@ -181,9 +176,7 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
 def op_norm(m) -> float:
     """Largest singular value (spectral norm); 0 for an empty matrix."""
     mat = as_matrix(m, "matrix")
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    return float(np.linalg.svd(mat, compute_uv=False).max(initial=0.0))
 
 
 def min_norm_solve(X, y) -> np.ndarray:
@@ -204,15 +197,11 @@ def min_norm_solve(X, y) -> np.ndarray:
         raise DimensionMismatch(
             f"X has {mat.shape[0]} rows but y has {rhs.shape[0]} entries"
         )
-    d = mat.shape[1]
-    if mat.shape[0] == 0:
-        return np.zeros(d)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(rank_mask(s)))
-    coeffs = u[:, :rank].T @ rhs / s[:rank] if rank else np.zeros(0)
-    w = vh[:rank].T @ coeffs
+    w = vh[:rank].T @ (u[:, :rank].T @ rhs / s[:rank])
     residual = np.linalg.norm(mat @ w - rhs)
-    floor = 1e-12 * (float(s[0]) if s.size else 0.0)
+    floor = 1e-12 * float(s.max(initial=0.0))
     if residual > max(1e-8 * float(np.linalg.norm(rhs)), floor):
         raise InconsistentSystem(
             f"||Xw - y|| = {residual:.3e} exceeds consistency tolerance"

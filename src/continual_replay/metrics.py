@@ -81,8 +81,6 @@ def forgetting_test_mean(
         size = min(_TEST_CHUNK, trials - done)
         total = np.zeros(size)
         for c, k in coords:
-            if k == 0:
-                continue
             Z = rng.standard_normal((size, k, k)) / math.sqrt(k)
             total += np.sum(np.einsum("ijk,k->ij", Z, c) ** 2, axis=1)
         values[done : done + size] = total / (T - 1)
@@ -122,11 +120,10 @@ def replay_null_projector(s2: Subspace, memory_rows) -> Projector:
     ``Projector`` validation (symmetric, idempotent, eigenvalues in {0, 1})
     is the check on what this returns.
     """
-    rows = np.atleast_2d(np.asarray(memory_rows, dtype=float))
-    if rows.size and rows.shape[1] != s2.ambient_dim:
+    rows = as_matrix(memory_rows, "rows")
+    if rows.shape[1] != s2.ambient_dim:
         raise DimensionMismatch("memory rows do not match the ambient dimension")
-    stacked = np.vstack([s2.basis.T, rows]) if rows.size else s2.basis.T
-    _, s, vh = np.linalg.svd(as_matrix(stacked, "rows"), full_matrices=False)
+    _, s, vh = np.linalg.svd(np.vstack([s2.basis.T, rows]), full_matrices=False)
     U = vh[rank_mask(s)]
     return Projector(np.eye(s2.ambient_dim) - U.T @ U)
 

@@ -247,5 +247,5 @@ def oracle_projector_sandwich(
 def _proj_sq_norm(rows: np.ndarray, v: np.ndarray) -> float:
     # squared norm of the orthogonal projection of v onto the row span
     _, svals, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(svals > 1e-12 * svals[0])) if svals.size and svals[0] > 0 else 0
+    rank = int(np.sum(svals > 1e-12 * svals.max(initial=0.0)))
     return float(np.sum((vh[:rank] @ v) ** 2))

@@ -202,8 +202,6 @@ def sample_task(s: Subspace, n: int, w_star, rng: np.random.Generator) -> Task:
     for attempt in range(2):
         Z = rng.standard_normal((n, k)) * scale
         X = Z @ s.basis.T
-        if k == 0:
-            break
         svals = np.linalg.svd(X, compute_uv=False)
         rank = int(np.sum(rank_mask(svals)))
         if rank == k:

@@ -109,6 +109,19 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["worst-case", "--d", "x"], ["oracles", "--d", "5"], ["--bogus"], []]
+)
+def test_usage_error_prints_one_line(argv, capsys):
+    # a bad type, a flag the command does not read, no command at all
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert ": error: " in err
+
+
 @pytest.mark.parametrize("d, m", [(152, 10), (3000, 150)])
 def test_highdim_constraints_hold(d, m):
     # exp(m ln m) overflows a float at m = 150; the check must not
@@ -213,20 +226,25 @@ def test_highdim_closed_form_gate_exits_3(monkeypatch, capsys):
 
 
 def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
-    # the path is checked before the experiment runs, not after
+    # the path is checked before the experiment runs, not after: a missing
+    # directory, a path that names a directory, and an empty path
     calls = []
     monkeypatch.setattr(cli_harness, "cmd_worst_case", calls.append)
-    out = tmp_path / "missing" / "x.csv"
-    assert main(["worst-case", "--T", "3", "--out", str(out)]) == 2
-    assert calls == []
-    err = capsys.readouterr().err
-    assert "cannot write output" in err
-    assert "Traceback" not in err
+    for out in (str(tmp_path / "missing" / "x.csv"), str(tmp_path), ""):
+        assert main(["worst-case", "--T", "3", "--out", out]) == 2, out
+        assert calls == [], out
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output") and err.count("\n") == 1, out
+        assert "Traceback" not in err
 
 
-def test_output_error_at_write_time_exits_2(tmp_path, capsys):
-    # a directory passes the pre-run check, so the open itself fails
-    assert main(["worst-case", "--T", "3", "--out", str(tmp_path)]) == 2
+def test_output_error_at_write_time_exits_2(tmp_path, monkeypatch, capsys):
+    # a path that passes the pre-run check can still fail when it is written
+    def fail(result, out):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli_harness, "_emit", fail)
+    assert main(["worst-case", "--T", "3", "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "cannot write output" in err
     assert "Traceback" not in err
