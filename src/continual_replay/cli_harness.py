@@ -4,7 +4,8 @@ Each subcommand wires constructions, learners, and metrics into one
 experiment and writes a CSV (plus a JSON sidecar echoing the resolved
 configuration, any closed-form predictions, and deterministic diagnostics).
 Empirical columns always sit next to their analytic counterparts with an
-absolute-deviation column.
+absolute-deviation column, and a column named after a resolved parameter
+echoes the sidecar's value.
 Wallclock goes to stderr only, so reruns with the same seed are
 bit-identical on disk.
 
@@ -15,6 +16,7 @@ consistency check or other library error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -146,12 +148,12 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     emitted with its deviation column so the discrepancy stays visible.
     """
     p = cfg.params
-    T, d, solver, seed = p["T"], p["d"], p["solver"], p["seed"]
+    T, d, solver = p["T"], p["d"], p["solver"]
     seq, (x2, y2) = make_worst_case(T, d)
     a_sq = 6.0 / 7.0  # default w* = v2
     stated_no = 3.0 * a_sq / (28.0 * (T - 1))
     stated_replay = 9.0 * a_sq / 196.0
-    tol = 1e-9 if solver == "closed_form" else 1e-4
+    tol = 1e-9
     mixed = seq.tasks[T - 2]  # rows x1, x2
 
     def run(replayed: TaskSequence):
@@ -178,16 +180,12 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
         rows.append(
             {
                 "variant": variant,
-                "T": T,
-                "d": d,
-                "solver": solver,
                 "forgetting": f,
                 "analytic_stated": stated,
                 "abs_dev_stated": abs(f - stated),
                 "analytic_projector": proj,
                 "abs_dev_projector": abs(f - proj),
                 "final_iterate_drift": drift,
-                "seed": seed,
             }
         )
     analytic = {
@@ -200,23 +198,18 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, rows, analytic)
 
 
-def _avg_case(cfg: ExperimentConfig, d: int) -> tuple[float, dict]:
-    """The shared body of both avg-case commands.
+def _two_task(d: int, epsilon: float) -> tuple[Subspace, Subspace, np.ndarray, float]:
+    """The two-task case of the avg-case and sweep commands, gated.
 
-    Builds the two-task case, checks the exact no-replay forgetting (the
-    projector cascade) against eps^2 (1 - eps^2) (a = 1 for the default w*),
-    and runs the replay kernel on the command's stream. Returns (that
-    formula, the kernel's mean and standard error).
+    Builds the case, checks its exact no-replay forgetting (the projector
+    cascade) against eps^2 (1 - eps^2) (a = 1 for the default w*), and
+    returns (s1, s2, w*, that formula).
     """
-    p = cfg.params
-    epsilon = p["epsilon"]
     s1, s2, w_star = make_avg_case_highdim(d, epsilon)
     base = epsilon**2 * (1.0 - epsilon**2)
     exact = expected_forgetting_closed_form([s1, s2], w_star)
     _require(abs(exact - base) <= 1e-12, "construction no longer matches its closed form")
-    rng = _stream(p["seed"], cfg.command)
-    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, p["m"], p["trials"], rng)
-    return base, res
+    return s1, s2, w_star, base
 
 
 def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
@@ -225,14 +218,13 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
     epsilon, m, trials, seed = p["epsilon"], p["m"], p["trials"], p["seed"]
     if trials < 10**3:
         raise InvalidParameters("avg-case-3d needs trials >= 10^3")
-    base, res = _avg_case(cfg, 3)
+    s1, s2, w_star, base = _two_task(3, epsilon)
+    rng = _stream(seed, cfg.command)
+    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
     ratio = res["mean"] / base
     ratio_se = res["std_err"] / base
     row = {
         "case": "avg_case_3d",
-        "epsilon": epsilon,
-        "m": m,
-        "trials": trials,
         "replay_mean": res["mean"],
         "replay_std_err": res["std_err"],
         "no_replay_analytic": base,
@@ -242,7 +234,6 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
         "abs_dev_bound": abs(ratio - CLAIM_C2_BOUND),
         "meets_bound_3sigma": bool(ratio + 3.0 * ratio_se >= CLAIM_C2_BOUND),
         "exceeds_one_3sigma": bool(ratio - 3.0 * ratio_se > 1.0),
-        "seed": seed,
     }
     analytic = {"no_replay": base, "ratio_lower_bound": CLAIM_C2_BOUND}
     return ExperimentResult(cfg, [row], analytic)
@@ -267,20 +258,17 @@ def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     d, epsilon, m, trials, seed = p["d"], p["epsilon"], p["m"], p["trials"], p["seed"]
     _check_highdim_constraints(d, m, epsilon)
-    base, res = _avg_case(cfg, d)
+    s1, s2, w_star, base = _two_task(d, epsilon)
+    rng = _stream(seed, cfg.command)
+    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
     row = {
         "case": "avg_case_highdim",
-        "d": d,
-        "m": m,
-        "epsilon": epsilon,
-        "trials": trials,
         "replay_mean": res["mean"],
         "replay_std_err": res["std_err"],
         "no_replay_analytic": base,
         "mean_minus_3se": res["mean"] - 3.0 * res["std_err"],
         "abs_dev_no_replay": abs(res["mean"] - base),
         "exceeds_no_replay_3sigma": bool(res["mean"] - 3.0 * res["std_err"] > base),
-        "seed": seed,
     }
     analytic = {"no_replay": base}
     return ExperimentResult(cfg, [row], analytic)
@@ -311,14 +299,13 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     )
     eps = eps if epsilon is None else epsilon
     trials = default_trials if trials is None else trials
-    s1, s2, w_star = make_avg_case_highdim(d, eps)
+    s1, s2, w_star, base = _two_task(d, eps)
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
     n1 = s1.rank + max(3, s1.rank // 4)
     n2 = s2.rank + 2
     if max(m_list) > n1:
         raise InvalidParameters(f"m cannot exceed the {n1} stored first-task rows")
-    base = expected_forgetting_closed_form([s1, s2], w_star)
     values: dict[tuple[int, str], list[float]] = {
         (m, solver): [] for m in m_list for solver in ("closed_form", "gd")
     }
@@ -347,8 +334,6 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                     "case": case,
                     "solver": solver,
                     "m": m,
-                    "trials": trials,
-                    "epsilon": eps,
                     "mean_forgetting": mean,
                     "std_err": se,
                     "analytic_value": analytic,
@@ -357,11 +342,11 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                     else float("nan"),
                     "no_replay_analytic": base,
                     "max_fit_residual": residuals[(m, solver)],
-                    "seed": seed,
                 }
             )
     analytic = {"no_replay": base, "full_span_replay": 0.0}
-    # The sidecar echoes the defaults this command resolved from --d.
+    # The sidecar, and so the CSV's epsilon and trials, echo the defaults
+    # this command resolved from --d.
     resolved = replace(cfg, params={**p, "epsilon": eps, "trials": trials})
     return ExperimentResult(resolved, rows, analytic)
 
@@ -375,7 +360,7 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     step of pi/4.
     """
     p = cfg.params
-    d, solver, seed, grid_points = p["d"], p["solver"], p["seed"], p["grid_points"]
+    d, solver, grid_points = p["d"], p["solver"], p["grid_points"]
     if grid_points < 3:
         raise InvalidParameters("angle sweep needs at least 3 grid points")
     if d < 2:
@@ -397,8 +382,6 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                 "empirical_forgetting": emp,
                 "analytic_forgetting": analytic,
                 "abs_dev": abs(emp - analytic),
-                "solver": solver,
-                "seed": seed,
             }
         )
     step = float(thetas[1] - thetas[0])
@@ -434,8 +417,6 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
         raise InvalidParameters("benign-check needs d >= 4")
     subsets = 50
     rows = []
-    certified_count = 0
-    violations_total = 0
     vacuous_subsets = 0
     pairs_all_vacuous = 0
     for i in range(trials):
@@ -450,7 +431,6 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
         violations = 0
         worst_gain = -math.inf
         if cert["certified"]:
-            certified_count += 1
             vacuous = 0
             for _ in range(subsets):
                 m = 1 + int(rng.integers(0, s1.rank))
@@ -465,11 +445,9 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
             checked = subsets
             vacuous_subsets += vacuous
             pairs_all_vacuous += int(vacuous == subsets)
-        violations_total += violations
         rows.append(
             {
                 "pair": i,
-                "d": d,
                 "rank1": k1,
                 "rank2": k2,
                 "op_norm": cert["op_norm_value"],
@@ -478,13 +456,13 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
                 "worst_replay_gain": worst_gain if checked else float("nan"),
                 "subsets_checked": checked,
                 "violations": violations,
-                "seed": seed,
             }
         )
+    violations_total = sum(row["violations"] for row in rows)
     _require(violations_total == 0, f"{violations_total} certified pairs gained forgetting")
     analytic = {
         "certificate_threshold": SQRT2_OVER_2,
-        "certified_pairs": certified_count,
+        "certified_pairs": sum(row["certified"] for row in rows),
         "violations": violations_total,
     }
     diagnostics = {"vacuous_subsets": vacuous_subsets, "pairs_all_vacuous": pairs_all_vacuous}
@@ -705,26 +683,29 @@ def _single_m(m_list: list[int]) -> int:
     return m_list[0]
 
 
+def _sidecar_path(out: str) -> str:
+    return (out[: -len(".csv")] if out.endswith(".csv") else out) + ".config.json"
+
+
 def _emit(result: ExperimentResult, out: str | None) -> None:
+    params = result.config.params
     columns = _COMMANDS[result.config.command].columns
-    if out is None:
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(result.rows)
-        return
-    with open(out, "w", newline="") as fh:
+    # A column named after a param echoes it, unless the row sets it itself.
+    echo = {key: value for key, value in params.items() if key in columns}
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        writer.writerows(result.rows)
-    sidecar = out[: -len(".csv")] + ".config.json" if out.endswith(".csv") else out + ".config.json"
+        writer.writerows({**echo, **row} for row in result.rows)
+    if out is None:
+        return
     payload = {
         "command": result.config.command,
-        "params": result.config.params,
+        "params": params,
         "analytic_predictions": result.analytic_predictions,
         "diagnostics": result.diagnostics,
         "version": __version__,
     }
-    with open(sidecar, "w") as fh:
+    with open(_sidecar_path(out), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -732,12 +713,14 @@ def _emit(result: ExperimentResult, out: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.out is not None:
-        # Checked before the run, so a bad path does not cost a whole experiment.
-        out_dir = os.path.dirname(args.out) or "."
-        writable = os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)
-        if not args.out or os.path.isdir(args.out) or not writable:
-            print(f"cannot write output: {args.out!r} is not a writable file", file=sys.stderr)
-            return 2
+        # Both files are checked before the run, so a bad path does not cost
+        # a whole experiment.
+        for path in (args.out, _sidecar_path(args.out)):
+            out_dir = os.path.dirname(path) or "."
+            writable = os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)
+            if not path or os.path.isdir(path) or not writable:
+                print(f"cannot write output: {path!r} is not a writable file", file=sys.stderr)
+                return 2
     try:
         cfg = _resolve_config(args)
         t0 = time.perf_counter()

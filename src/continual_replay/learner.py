@@ -65,8 +65,7 @@ def fit_gd(w_prev, task: Task, cfg: GdConfig | None = None) -> np.ndarray:
         w_K = w_prev + V diag((1 - (1 - lr s^2)^K) / s) U^T (y - X w_prev).
 
     Because every step lies in the row span of X, the limit is the same
-    minimum-distance solution as fit_closed_form (agreement within 1e-4 is
-    part of the test contract).
+    minimum-distance solution as fit_closed_form.
 
     Raises:
         NotConverged: if ||X w_K - y|| > ``cfg.convergence_tol``.
@@ -87,14 +86,11 @@ def fit_gd(w_prev, task: Task, cfg: GdConfig | None = None) -> np.ndarray:
     keep = svals > 0
     s = svals[keep]
     step = lr * s * s
-    # 1 - (1 - step)^K rounds away its digits where step is tiny, so below 1
-    # it is -expm1(K log1p(-step)). Exactly, step <= 1, but lr * s_max^2 can
-    # round to just above 1, where log1p(-step) has no real value; there the
-    # plain power is exact enough.
-    below = step < 1.0
-    gain = np.empty_like(s)
-    gain[below] = -np.expm1(cfg.epochs * np.log1p(-step[below])) / s[below]
-    gain[~below] = (1.0 - (1.0 - step[~below]) ** cfg.epochs) / s[~below]
+    # 1 - (1 - step)^K rounds away its digits where step is tiny, so it is
+    # -expm1(K log1p(-step)). Exactly, step <= 1, but lr * s_max^2 can round
+    # to just above 1; capped at 1, log1p gives -inf and the gain is 1/s.
+    with np.errstate(divide="ignore"):
+        gain = -np.expm1(cfg.epochs * np.log1p(-np.minimum(step, 1.0))) / s
     w = w_prev + Vt[keep].T @ (gain * (U[:, keep].T @ (y - X @ w_prev)))
     residual = float(np.linalg.norm(X @ w - y))
     if residual > cfg.convergence_tol:

@@ -25,7 +25,6 @@ from .linalg_core import (
     as_matrix,
     as_vector,
     op_norm,
-    orthonormal_basis,
     rank_mask,
 )
 from .task_gen import TaskSequence
@@ -144,13 +143,13 @@ def expected_replay_forgetting_two_tasks(
     augmented with those rows.
 
     The kernel never forms a d-vector per trial. Split
-    W2 = W1 B + Q S with B = W1^T W2, Q an orthonormal basis of P_1 W2 and
-    S = Q^T P_1 W2. With B~ the part of B outside span Z^T, the union span
-    is span(W1 Z^T) + span(W1 B~ + Q S), the two parts orthogonal. Since
-    q = P_1 w* is orthogonal to span W1, W1^T P~_2 q = -B~ y with y the
-    pseudo-inverse solution of (B~^T B~ + S^T S) y = S^T Q^T q. The
-    pseudo-inverse keeps the eigen-directions whose square-rooted
-    eigenvalue passes ``rank_mask`` (1e-10 of the largest).
+    W2 = W1 B + C0 with B = W1^T W2 and C0 = P_1 W2. With B~ the part of B
+    outside span Z^T, the union span is span(W1 Z^T) + span(W1 B~ + C0),
+    the two parts orthogonal. Since q = P_1 w* is orthogonal to span W1,
+    W1^T P~_2 q = -B~ y with y the pseudo-inverse solution of
+    (B~^T B~ + C0^T C0) y = C0^T q. The pseudo-inverse keeps the
+    eigen-directions whose square-rooted eigenvalue passes ``rank_mask``
+    (1e-10 of the largest).
 
     B~ is read from one Householder QR of the k1 x (m + k2) matrix
     [Z^T | B], R factor only (no Q is formed). Its trailing block
@@ -159,7 +158,7 @@ def expected_replay_forgetting_two_tasks(
     Methods for Least Squares Problems, 1996, sec. 1.3). For m >= k1 the
     block has no rows and the value is exactly 0. A trial's value depends
     on Z only through its row span, so the draw is used unscaled; only the
-    k2-column [R22; S] is squared, never Z.
+    k2-column [R22; C0] is squared, never Z.
 
     Trials run in chunks of up to ``_REPLAY_CHUNK``. A chunk draws all of its
     replay coefficients in one call, which consumes ``rng`` in the same
@@ -186,10 +185,8 @@ def expected_replay_forgetting_two_tasks(
     q = w_star - W1 @ (W1.T @ w_star)  # P_1 w*
     B = W1.T @ W2
     C0 = W2 - W1 @ B  # P_1 W2
-    Q = orthonormal_basis(C0.T).basis
-    S = Q.T @ C0
-    c = S.T @ (Q.T @ q)
-    StS = S.T @ S
+    c = C0.T @ q
+    C0tC0 = C0.T @ C0
     values = np.empty(trials)
     k2 = s2.rank
     chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // (k1 * max(m, k2))))
@@ -200,7 +197,7 @@ def expected_replay_forgetting_two_tasks(
         ZB[:, m:] = B.T
         R = np.linalg.qr(ZB.transpose(0, 2, 1), mode="r")
         Bt = R[:, m:, m:]  # R22, Bt^T Bt = B~^T B~
-        evals, evecs = np.linalg.eigh(Bt.transpose(0, 2, 1) @ Bt + StS)
+        evals, evecs = np.linalg.eigh(Bt.transpose(0, 2, 1) @ Bt + C0tC0)
         evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
         keep = rank_mask(np.sqrt(np.clip(evals, 0.0, None)))
         inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)
@@ -243,22 +240,22 @@ def expected_forgetting_trace_form(
     projector of the replay-augmented second task, is given), the
     expectation equals trace(A^T A - (A^T A)^2). It is computed in task 1's
     coordinates as trace(G) - ||G||_F^2 with G = W1^T P_2 W1, so P_1 is
-    never formed. The two agree: inside (0, 1) the eigenvalues of G are
-    the squared cosines of the principal angles between task 1 and the
-    range of P_2, and those of A^T A = P_1 P_2 P_1 are their squared sines,
-    the same angles read against task 1's complement (Halmos 1969). x - x^2
-    takes the same value at x and 1 - x, and the eigenvalues 0 and 1 add
-    nothing.
+    never formed; without replay G = I - B B^T with B = W1^T W2, so no
+    projector is formed at all. The two agree: inside (0, 1) the
+    eigenvalues of G are the squared cosines of the principal angles
+    between task 1 and the range of P_2, and those of A^T A = P_1 P_2 P_1
+    are their squared sines, the same angles read against task 1's
+    complement (Halmos 1969). x - x^2 takes the same value at x and 1 - x,
+    and the eigenvalues 0 and 1 add nothing.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("task subspaces live in different dimensions")
-    d = s1.ambient_dim
-    if replay_projector is None:
-        P2 = np.eye(d) - s2.basis @ s2.basis.T
-    else:
-        if replay_projector.ambient_dim != d:
-            raise DimensionMismatch("replay projector dimension mismatch")
-        P2 = replay_projector.matrix
     W1 = s1.basis
-    G = W1.T @ P2 @ W1
+    if replay_projector is None:
+        B = W1.T @ s2.basis
+        G = np.eye(s1.rank) - B @ B.T
+    else:
+        if replay_projector.ambient_dim != s1.ambient_dim:
+            raise DimensionMismatch("replay projector dimension mismatch")
+        G = W1.T @ replay_projector.matrix @ W1
     return float(np.trace(G) - np.sum(G * G))

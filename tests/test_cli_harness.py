@@ -218,24 +218,37 @@ def test_package_import_loads_the_six_layers_only():
 
 
 def test_highdim_closed_form_gate_exits_3(monkeypatch, capsys):
-    # both avg-case commands share the gate; a loop keeps this one test id
+    # the three two-task commands share the gate; a loop keeps this one test id
     monkeypatch.setattr(cli_harness, "expected_forgetting_closed_form", lambda *a: 1.0)
-    for argv in (["avg-case-3d", "--trials", "1000"], ["avg-case-highdim", "--trials", "10"]):
+    for argv in (
+        ["avg-case-3d", "--trials", "1000"],
+        ["avg-case-highdim", "--trials", "10"],
+        ["replay-sweep", "--m", "0", "--trials", "1"],
+    ):
         assert main(argv) == 3, argv[0]
         assert "closed form" in capsys.readouterr().err, argv[0]
 
 
 def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
-    # the path is checked before the experiment runs, not after: a missing
-    # directory, a path that names a directory, and an empty path
+    # the paths are checked before the experiment runs, not after: a missing
+    # directory, a path that names a directory, an empty path, and a CSV
+    # whose sidecar path names a directory
+    (tmp_path / "sc" / "o.config.json").mkdir(parents=True)
     calls = []
     monkeypatch.setattr(cli_harness, "cmd_worst_case", calls.append)
-    for out in (str(tmp_path / "missing" / "x.csv"), str(tmp_path), ""):
+    for out, failing in (
+        (str(tmp_path / "missing" / "x.csv"), "x.csv"),
+        (str(tmp_path), str(tmp_path)),
+        ("", "''"),
+        (str(tmp_path / "sc" / "o.csv"), "o.config.json"),
+    ):
         assert main(["worst-case", "--T", "3", "--out", out]) == 2, out
         assert calls == [], out
         err = capsys.readouterr().err
         assert err.startswith("cannot write output") and err.count("\n") == 1, out
+        assert failing in err, (out, err)
         assert "Traceback" not in err
+    assert not (tmp_path / "sc" / "o.csv").exists()
 
 
 def test_output_error_at_write_time_exits_2(tmp_path, monkeypatch, capsys):
@@ -254,6 +267,7 @@ def test_reruns_are_bit_identical(tmp_path):
     for argv in (
         ["replay-sweep", "--d", "3", "--m", "0,1,2", "--trials", "5", "--seed", "7"],
         ["benign-check", "--d", "5", "--trials", "20", "--seed", "7"],
+        ["worst-case", "--T", "10", "--d", "5", "--solver", "gd"],
     ):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(argv + ["--out", str(a)]) == 0
@@ -301,6 +315,23 @@ def test_sidecar_echoes_resolved_defaults(argv, tmp_path):
     for row in _read_csv(out):
         assert params["epsilon"] == float(row["epsilon"])
         assert params["trials"] == int(row["trials"])
+
+
+@pytest.mark.parametrize(
+    "sweep, avg_case",
+    [
+        (["--d", "3"], ["avg-case-3d", "--trials", "1000"]),
+        (["--d", "152"], ["avg-case-highdim", "--epsilon", "0.4", "--trials", "10"]),
+    ],
+)
+def test_two_task_commands_share_no_replay_value(sweep, avg_case, tmp_path):
+    # one gated construction, one formula: the same column holds the same bits
+    values = set()
+    for argv in (["replay-sweep", *sweep, "--m", "0", "--trials", "1"], avg_case):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        values |= {row["no_replay_analytic"] for row in _read_csv(out)}
+    assert len(values) == 1, values
 
 
 def test_replay_sweep_analytic_columns(tmp_path):
@@ -421,6 +452,25 @@ def test_subcommand_help_documents_columns(capsys):
         assert main([command, *argv]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "".join(epilog.split()) == header, command
+
+
+def test_parameter_columns_echo_the_sidecar(tmp_path):
+    # a CSV column named after a param holds the sidecar's value in every
+    # row; oracles rows carry each verdict's own trial count and seed
+    for command, argv in SMALL_RUNS.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *argv, "--out", str(out)]) == 0
+        params = json.loads(out.with_name(f"{command}.config.json").read_text())["params"]
+        rows = _read_csv(out)
+        echoed = [key for key in rows[0] if key in params]
+        if command == "oracles":
+            assert echoed == ["trials", "seed"]
+            continue
+        assert echoed, command
+        for row in rows:
+            assert {key: row[key] for key in echoed} == {
+                key: str(params[key]) for key in echoed
+            }, command
 
 
 # Each command's minimum accepted --trials; the fuzz draws it or one below.

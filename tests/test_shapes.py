@@ -1,10 +1,12 @@
-"""Laws that hold on every code path: empty shapes and rotations.
+"""Laws that hold on every code path: empty shapes, rotations, scale, span.
 
 Zero-row, all-zero and rank-0 inputs run the same SVD and matmul path as
 any other input, so each case below checks what that general path returns.
 The rotation law checks that mapping every subspace, row and target
 through one orthogonal Q changes no forgetting value and maps each learned
-w to Q w.
+w to Q w. The scale law checks that w* -> c w* scales forgetting by c^2,
+and the span law that a replayed row already in the second task's
+augmented span changes nothing.
 """
 
 import numpy as np
@@ -134,11 +136,11 @@ def test_empty_shapes_take_the_general_path(case):
 REL, FLOOR = 1e-12, 1e-14
 
 
-def _assert_close(got, want, what):
+def _assert_close(got, want, what, floor=FLOOR):
     got, want = np.asarray(got), np.asarray(want)
     scale = max(float(np.abs(want).max(initial=0.0)), float(np.abs(got).max(initial=0.0)))
     dev = float(np.abs(got - want).max(initial=0.0))
-    assert dev <= REL * scale + FLOOR, (what, dev, scale)
+    assert dev <= REL * scale + floor, (what, dev, scale)
 
 
 def _rotation(rng, d):
@@ -206,3 +208,70 @@ def test_rotation_changes_no_forgetting(case):
         for a, b, w in ((s1, s2, w_star), (s1_q, s2_q, Q @ w_star))
     ]
     _assert_close(kernel[1]["mean"], kernel[0]["mean"], "replay kernel mean")
+
+
+# ------------------------------------------------------- scale and span laws
+
+
+@st.composite
+def two_task_cases(draw):
+    d = draw(st.integers(3, 8))
+    k1, k2 = draw(st.integers(1, d - 1)), draw(st.integers(1, d - 1))
+    m = draw(st.integers(1, d))
+    c = draw(st.floats(0.125, 8.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, k1, k2, m, c, seed
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(two_task_cases())
+def test_scaling_the_target_scales_forgetting_by_its_square(case):
+    # relative 1e-12 with an absolute floor of 1e-14, for a replay that
+    # fills task 1's span and reads 0
+    d, k1, k2, m, c, seed = case
+    rng = np.random.default_rng(seed)
+    s1, s2 = _subspace(rng, k1, d), _subspace(rng, k2, d)
+    w_star = rng.standard_normal(d)
+    _assert_close(
+        expected_forgetting_closed_form([s1, s2], c * w_star),
+        c * c * expected_forgetting_closed_form([s1, s2], w_star),
+        "closed form",
+        floor=1e-14,
+    )
+    # the same generator draws the same memories for both targets
+    kernel = [
+        expected_replay_forgetting_two_tasks(s1, s2, w, m, 40, np.random.default_rng(seed))
+        for w in (w_star, c * w_star)
+    ]
+    _assert_close(kernel[1]["mean"], c * c * kernel[0]["mean"], "replay kernel mean", floor=1e-14)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(two_task_cases())
+def test_a_replayed_row_in_the_span_changes_nothing(case):
+    # relative 1e-12 with an absolute floor of 1e-13: entries and values
+    # are at most d, and the worst seen is 3.1e-15
+    d, k1, k2, m, _, seed = case
+    rng = np.random.default_rng(seed)
+    s1, s2 = _subspace(rng, k1, d), _subspace(rng, k2, d)
+    rows = rng.standard_normal((m, d))
+    stack = np.vstack([s2.basis.T, rows])
+    in_span = (rng.standard_normal(len(stack)) @ stack)[None]
+    proj = replay_null_projector(s2, rows)
+    proj_more = replay_null_projector(s2, np.vstack([rows, in_span]))
+    _assert_close(proj_more.matrix, proj.matrix, "replay null projector", floor=1e-13)
+    _assert_close(
+        expected_forgetting_trace_form(s1, s2, proj_more),
+        expected_forgetting_trace_form(s1, s2, proj),
+        "trace form with replay",
+        floor=1e-13,
+    )
+    # a memory inside task 2's own span is no replay at all, which the
+    # trace form computes without a projector
+    own = (rng.standard_normal(k2) @ s2.basis.T)[None]
+    _assert_close(
+        expected_forgetting_trace_form(s1, s2, replay_null_projector(s2, own)),
+        expected_forgetting_trace_form(s1, s2),
+        "trace form without replay",
+        floor=1e-13,
+    )
