@@ -23,17 +23,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigurationError,
-    ConsistencyFailure,
-    ContinualReplayError,
-    InvalidParameters,
-)
+from .errors import ConsistencyFailure, ContinualReplayError, InvalidParameters
 from .learner import (
     GdConfig,
     augment_with_replay,
@@ -79,31 +74,18 @@ _GD_SWEEP = GdConfig(convergence_tol=1e-1)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved parameters of one CLI invocation."""
-
-    command: str
-    params: dict
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
     rows: list[dict]
     analytic_predictions: dict
     # Deterministic counts that explain the run's numbers, for the sidecar.
     diagnostics: dict = field(default_factory=dict)
+    # Params the handler resolved itself; they override the parsed ones.
+    resolved: dict = field(default_factory=dict)
 
 
 def _stream(seed: int, command: str, *extra: int) -> np.random.Generator:
     # Sub-streams are derived from (seed, command id, trial index).
     return np.random.default_rng([seed, _COMMANDS[command].stream, *extra])
-
-
-def _check_seed(seed: int) -> int:
-    if seed < 0:
-        raise InvalidParameters("seed must be a non-negative integer")
-    return int(seed)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -136,7 +118,7 @@ def _projector_train_forgetting(seq: TaskSequence) -> float:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
+def cmd_worst_case(T: int, d: int, solver: str, seed: int) -> ExperimentResult:
     """Worst-case sequence with and without single-sample replay.
 
     Emits the empirical forgetting of the plain run, the run replaying the
@@ -146,9 +128,8 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
     task spans alone. The command checks against the cascade (and the
     stated no-replay form, which matches it); the stated replay constant is
     emitted with its deviation column so the discrepancy stays visible.
+    The construction is deterministic; ``seed`` is only echoed.
     """
-    p = cfg.params
-    T, d, solver = p["T"], p["d"], p["solver"]
     seq, (x2, y2) = make_worst_case(T, d)
     a_sq = 6.0 / 7.0  # default w* = v2
     stated_no = 3.0 * a_sq / (28.0 * (T - 1))
@@ -195,7 +176,7 @@ def cmd_worst_case(cfg: ExperimentConfig) -> ExperimentResult:
         "projector_no_replay": proj_no,
         "projector_replay_x2": proj_x2,
     }
-    return ExperimentResult(cfg, rows, analytic)
+    return ExperimentResult(rows, analytic)
 
 
 def _two_task(d: int, epsilon: float) -> tuple[Subspace, Subspace, np.ndarray, float]:
@@ -212,14 +193,15 @@ def _two_task(d: int, epsilon: float) -> tuple[Subspace, Subspace, np.ndarray, f
     return s1, s2, w_star, base
 
 
-def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
+def cmd_avg_case_3d(epsilon: float, m: int, trials: int, seed: int) -> ExperimentResult:
     """Monte Carlo replay expectation vs the exact no-replay value in 3D."""
-    p = cfg.params
-    epsilon, m, trials, seed = p["epsilon"], p["m"], p["trials"], p["seed"]
     if trials < 10**3:
         raise InvalidParameters("avg-case-3d needs trials >= 10^3")
     s1, s2, w_star, base = _two_task(3, epsilon)
-    rng = _stream(seed, cfg.command)
+    if base == 0.0:
+        # eps^2 (1 - eps^2) underflows for eps below about 1.6e-162.
+        raise InvalidParameters(f"epsilon {epsilon} is too small: eps^2 (1 - eps^2) is 0")
+    rng = _stream(seed, "avg-case-3d")
     res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
     ratio = res["mean"] / base
     ratio_se = res["std_err"] / base
@@ -236,7 +218,7 @@ def cmd_avg_case_3d(cfg: ExperimentConfig) -> ExperimentResult:
         "exceeds_one_3sigma": bool(ratio - 3.0 * ratio_se > 1.0),
     }
     analytic = {"no_replay": base, "ratio_lower_bound": CLAIM_C2_BOUND}
-    return ExperimentResult(cfg, [row], analytic)
+    return ExperimentResult([row], analytic)
 
 
 def _check_highdim_constraints(d: int, m: int, epsilon: float) -> None:
@@ -253,13 +235,13 @@ def _check_highdim_constraints(d: int, m: int, epsilon: float) -> None:
         raise InvalidParameters(f"epsilon must be in (0, 1/2), got {epsilon}")
 
 
-def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
+def cmd_avg_case_highdim(
+    d: int, epsilon: float, m: int, trials: int, seed: int
+) -> ExperimentResult:
     """Replay vs no-replay expected forgetting in the high-dimensional regime."""
-    p = cfg.params
-    d, epsilon, m, trials, seed = p["d"], p["epsilon"], p["m"], p["trials"], p["seed"]
     _check_highdim_constraints(d, m, epsilon)
     s1, s2, w_star, base = _two_task(d, epsilon)
-    rng = _stream(seed, cfg.command)
+    rng = _stream(seed, "avg-case-highdim")
     res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
     row = {
         "case": "avg_case_highdim",
@@ -271,10 +253,12 @@ def cmd_avg_case_highdim(cfg: ExperimentConfig) -> ExperimentResult:
         "exceeds_no_replay_3sigma": bool(res["mean"] - 3.0 * res["std_err"] > base),
     }
     analytic = {"no_replay": base}
-    return ExperimentResult(cfg, [row], analytic)
+    return ExperimentResult([row], analytic)
 
 
-def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
+def cmd_replay_sweep(
+    d: int, epsilon: float | None, m_list: list[int], trials: int | None, seed: int
+) -> ExperimentResult:
     """Mean forgetting as a function of the replay-memory size m.
 
     Samples a fresh two-task sequence per trial (rows oversampled past the
@@ -283,14 +267,6 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     uniformly without replacement, and evaluates the exact per-iterate
     forgetting ||Pi_1 (w_2 - w*)||^2 for both solvers.
     """
-    p = cfg.params
-    d, epsilon, m_list, trials, seed = (
-        p["d"],
-        p["epsilon"],
-        p["m_list"],
-        p["trials"],
-        p["seed"],
-    )
     if not m_list:
         raise InvalidParameters("replay-sweep needs a nonempty m list")
     # The case name and the defaults that --d selects.
@@ -337,9 +313,7 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                     "mean_forgetting": mean,
                     "std_err": se,
                     "analytic_value": analytic,
-                    "abs_dev_analytic": abs(mean - analytic)
-                    if not math.isnan(analytic)
-                    else float("nan"),
+                    "abs_dev_analytic": abs(mean - analytic),
                     "no_replay_analytic": base,
                     "max_fit_residual": residuals[(m, solver)],
                 }
@@ -347,20 +321,17 @@ def cmd_replay_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     analytic = {"no_replay": base, "full_span_replay": 0.0}
     # The sidecar, and so the CSV's epsilon and trials, echo the defaults
     # this command resolved from --d.
-    resolved = replace(cfg, params={**p, "epsilon": eps, "trials": trials})
-    return ExperimentResult(resolved, rows, analytic)
+    return ExperimentResult(rows, analytic, resolved={"epsilon": eps, "trials": trials})
 
 
-def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
+def cmd_angle_sweep(d: int, solver: str, grid_points: int, seed: int) -> ExperimentResult:
     """Forgetting of two rank-(d-1) tasks vs the angle between their nulls.
 
     The tasks are built directly from basis rows (no sampling noise), so
     the closed-form learner reproduces cos^2(theta) (1 - cos^2(theta))
     to machine precision; the empirical argmax must land within one grid
-    step of pi/4.
+    step of pi/4. The construction is deterministic; ``seed`` is only echoed.
     """
-    p = cfg.params
-    d, solver, grid_points = p["d"], p["solver"], p["grid_points"]
     if grid_points < 3:
         raise InvalidParameters("angle sweep needs at least 3 grid points")
     if d < 2:
@@ -395,10 +366,10 @@ def cmd_angle_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         "grid_step": step,
         "peak_value": 0.25,
     }
-    return ExperimentResult(cfg, rows, analytic)
+    return ExperimentResult(rows, analytic)
 
 
-def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
+def cmd_benign_check(d: int, trials: int, seed: int) -> ExperimentResult:
     """Random certified task pairs never gain forgetting from replay.
 
     Samples random pairs of subspaces with one- or two-dimensional null
@@ -409,8 +380,6 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
     null projector has trace below 1/2): forgetting is then 0 and the
     certificate is not tested. The sidecar's diagnostics count them.
     """
-    p = cfg.params
-    d, trials, seed = p["d"], p["trials"], p["seed"]
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
     if d < 4:
@@ -466,13 +435,11 @@ def cmd_benign_check(cfg: ExperimentConfig) -> ExperimentResult:
         "violations": violations_total,
     }
     diagnostics = {"vacuous_subsets": vacuous_subsets, "pairs_all_vacuous": pairs_all_vacuous}
-    return ExperimentResult(cfg, rows, analytic, diagnostics)
+    return ExperimentResult(rows, analytic, diagnostics)
 
 
-def cmd_oracles(cfg: ExperimentConfig) -> ExperimentResult:
+def cmd_oracles(trials: int, seed: int) -> ExperimentResult:
     """Run every oracle and emit one verdict row per check."""
-    p = cfg.params
-    trials, seed = p["trials"], p["seed"]
     if trials < 10**4:
         raise InvalidParameters("oracle runs need trials >= 10^4")
     rng = _stream(seed, "oracles")
@@ -514,7 +481,7 @@ def cmd_oracles(cfg: ExperimentConfig) -> ExperimentResult:
     ]
     _require(all(v.passed for v in verdicts), "an oracle check failed")
     analytic = {"verdicts": len(rows)}
-    return ExperimentResult(cfg, rows, analytic)
+    return ExperimentResult(rows, analytic)
 
 
 # ------------------------------------------------------------------ plumbing
@@ -558,16 +525,14 @@ class Command:
     """One subcommand: what the parser, the random streams and the CSV need."""
 
     stream: int  # part of every random stream's seed, so never renumbered
-    handler: str  # name of the cmd_* function, looked up when the command runs
     help: str
     columns: tuple[str, ...]  # the CSV header, also listed by --help
-    flags: dict  # _FLAGS key -> default, for the flags this command reads
+    flags: dict  # _FLAGS key -> default; with seed, the handler's keywords
 
 
 _COMMANDS = {
     "worst-case": Command(
         0,
-        "cmd_worst_case",
         "repeated-row sequence where replay backfires",
         (
             "variant", "T", "d", "solver", "forgetting", "analytic_stated", "abs_dev_stated",
@@ -577,7 +542,6 @@ _COMMANDS = {
     ),
     "avg-case-3d": Command(
         1,
-        "cmd_avg_case_3d",
         "3D two-task replay expectation vs closed form",
         (
             "case", "epsilon", "m", "trials", "replay_mean", "replay_std_err",
@@ -588,7 +552,6 @@ _COMMANDS = {
     ),
     "avg-case-highdim": Command(
         2,
-        "cmd_avg_case_highdim",
         "high-dimensional two-task replay expectation",
         (
             "case", "d", "m", "epsilon", "trials", "replay_mean", "replay_std_err",
@@ -599,7 +562,6 @@ _COMMANDS = {
     ),
     "replay-sweep": Command(
         3,
-        "cmd_replay_sweep",
         "forgetting vs replay-memory size, closed-form and gradient-descent lanes",
         (
             "case", "solver", "m", "trials", "epsilon", "mean_forgetting", "std_err",
@@ -610,14 +572,12 @@ _COMMANDS = {
     ),
     "angle-sweep": Command(
         4,
-        "cmd_angle_sweep",
         "forgetting vs angle between task null spaces",
         ("theta", "empirical_forgetting", "analytic_forgetting", "abs_dev", "solver", "seed"),
         {"d": 3, "solver": "closed", "grid_points": 91},
     ),
     "benign-check": Command(
         5,
-        "cmd_benign_check",
         "certified pairs never gain from replay",
         (
             "pair", "d", "rank1", "rank2", "op_norm", "certified", "base_trace",
@@ -627,7 +587,6 @@ _COMMANDS = {
     ),
     "oracles": Command(
         6,
-        "cmd_oracles",
         "run all numeric oracles",
         ("name", "observed", "bound", "pass", "trials", "seed"),
         {"trials": 10**5},
@@ -663,16 +622,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+def _resolve_params(args: argparse.Namespace) -> dict:
     params = {key: getattr(args, key) for key in _COMMANDS[args.command].flags}
-    params["seed"] = _check_seed(args.seed)
+    if args.seed < 0:
+        raise InvalidParameters("seed must be a non-negative integer")
+    params["seed"] = args.seed
     if "solver" in params:
         params["solver"] = "closed_form" if params["solver"] == "closed" else "gd"
     if "m" in params:
         params["m"] = _single_m(_parse_m_list(params["m"]))
     if "m_list" in params:
         params["m_list"] = _parse_m_list(params["m_list"])
-    return ExperimentConfig(command=args.command, params=params)
+    return params
 
 
 def _single_m(m_list: list[int]) -> int:
@@ -687,9 +648,8 @@ def _sidecar_path(out: str) -> str:
     return (out[: -len(".csv")] if out.endswith(".csv") else out) + ".config.json"
 
 
-def _emit(result: ExperimentResult, out: str | None) -> None:
-    params = result.config.params
-    columns = _COMMANDS[result.config.command].columns
+def _emit(command: str, params: dict, result: ExperimentResult, out: str | None) -> None:
+    columns = _COMMANDS[command].columns
     # A column named after a param echoes it, unless the row sets it itself.
     echo = {key: value for key, value in params.items() if key in columns}
     with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
@@ -699,7 +659,7 @@ def _emit(result: ExperimentResult, out: str | None) -> None:
     if out is None:
         return
     payload = {
-        "command": result.config.command,
+        "command": command,
         "params": params,
         "analytic_predictions": result.analytic_predictions,
         "diagnostics": result.diagnostics,
@@ -722,13 +682,13 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"cannot write output: {path!r} is not a writable file", file=sys.stderr)
                 return 2
     try:
-        cfg = _resolve_config(args)
+        params = _resolve_params(args)
         t0 = time.perf_counter()
         # Through the module namespace, so a wrapper installed on a cmd_*
         # attribute (a profiler, a test double) is the one that runs.
-        result = globals()[_COMMANDS[cfg.command].handler](cfg)
+        result = globals()["cmd_" + args.command.replace("-", "_")](**params)
         wallclock = time.perf_counter() - t0
-    except ConfigurationError as exc:
+    except InvalidParameters as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyFailure as exc:
@@ -738,11 +698,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     try:
-        _emit(result, args.out)
+        _emit(args.command, {**params, **result.resolved}, result, args.out)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    print(f"[{cfg.command}] wallclock {wallclock:.3f}s", file=sys.stderr)
+    print(f"[{args.command}] wallclock {wallclock:.3f}s", file=sys.stderr)
     return 0
 
 

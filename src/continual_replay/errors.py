@@ -1,18 +1,14 @@
 """Exception types shared across the package.
 
 Every error raised by the library is a subclass of ContinualReplayError, so
-callers can catch one base class. The CLI maps ConfigurationError subclasses
-to exit code 2 and every other library error, ConsistencyFailure included,
-to exit code 3.
+callers can catch one base class. The CLI maps InvalidParameters to exit
+code 2 and every other library error, ConsistencyFailure included, to exit
+code 3.
 """
 
 
 class ContinualReplayError(Exception):
     """Base class for all library errors."""
-
-
-class ConfigurationError(ContinualReplayError):
-    """Base class for invalid-parameter errors (CLI exit code 2)."""
 
 
 class ConsistencyFailure(ContinualReplayError):
@@ -43,6 +39,7 @@ class TooFewTasks(ContinualReplayError):
     """Forgetting needs at least two tasks (it excludes the final one)."""
 
 
-class InvalidParameters(ConfigurationError):
+class InvalidParameters(ContinualReplayError):
     """A parameter outside its admissible range: a dimension, epsilon, angle,
-    sample count, replay size, or a constraint of the high-dimensional regime."""
+    sample count, replay size, or a constraint of the high-dimensional regime
+    (CLI exit code 2)."""

@@ -55,7 +55,7 @@ def fit_closed_form(w_prev, task: Task) -> np.ndarray:
     return w_prev + min_norm_solve(task.X, task.y - task.X @ w_prev)
 
 
-def fit_gd(w_prev, task: Task, cfg: GdConfig | None = None) -> np.ndarray:
+def fit_gd(w_prev, task: Task, cfg: GdConfig = GdConfig()) -> np.ndarray:
     """``cfg.epochs`` full-batch gradient-descent steps on ||X w - y||^2 from w_prev.
 
     The step is lr = 1/lambda_max(X^T X) = 1/s_max^2. The K-step iterate
@@ -73,8 +73,6 @@ def fit_gd(w_prev, task: Task, cfg: GdConfig | None = None) -> np.ndarray:
     w_prev = as_vector(w_prev, "w_prev")
     if w_prev.shape[0] != task.ambient_dim:
         raise DimensionMismatch("w_prev dimension does not match the task")
-    if cfg is None:
-        cfg = GdConfig()
     X, y = task.X, task.y
     U, svals, Vt = np.linalg.svd(X, full_matrices=False)
     gram_top = float(svals.max(initial=0.0)) ** 2
@@ -132,7 +130,7 @@ def augment_with_replay(seq: TaskSequence, memory: Task) -> TaskSequence:
 
 
 def run_sequence(
-    seq: TaskSequence, solver: str = "closed_form", gd_config: GdConfig | None = None
+    seq: TaskSequence, solver: str = "closed_form", gd_config: GdConfig = GdConfig()
 ) -> np.ndarray:
     """Train on the tasks in order from the all-zero vector; return the final w.
 

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import filecmp
+import inspect
 import io
 import json
 import math
@@ -66,11 +67,14 @@ def test_worst_case_stdout(capsys):
         ["oracles", "--trials", "100"],
         ["avg-case-highdim", "--epsilon", "0.5"],
         ["replay-sweep", "--d", "2"],
+        # eps^2 (1 - eps^2) underflows to 0, which the ratio divides by
+        ["avg-case-3d", "--epsilon", "1e-200", "--trials", "1000"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
     assert main(argv) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("epsilon", ["0.5", "0", "nan", "inf"])
@@ -140,7 +144,7 @@ def test_highdim_constraints_violated(d, m):
 
 
 def test_internal_assertion_exits_3(monkeypatch, capsys):
-    def boom(cfg):
+    def boom(**params):
         raise ConsistencyFailure("forced")
 
     monkeypatch.setattr(cli_harness, "cmd_worst_case", boom)
@@ -149,7 +153,7 @@ def test_internal_assertion_exits_3(monkeypatch, capsys):
 
 
 def test_other_library_errors_exit_3(monkeypatch, capsys):
-    def boom(cfg):
+    def boom(**params):
         raise NotConverged("forced")
 
     monkeypatch.setattr(cli_harness, "cmd_worst_case", boom)
@@ -253,7 +257,7 @@ def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_output_error_at_write_time_exits_2(tmp_path, monkeypatch, capsys):
     # a path that passes the pre-run check can still fail when it is written
-    def fail(result, out):
+    def fail(*args):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli_harness, "_emit", fail)
@@ -449,6 +453,10 @@ def test_subcommand_help_documents_columns(capsys):
         usage, _, epilog = text.partition("CSV columns:")
         # help lists exactly the flags the command reads
         assert set(re.findall(r"--[\w-]+", usage)) == _options(command) | {"--help"}
+        # and the handler takes exactly those params as keywords
+        handler = getattr(cli_harness, "cmd_" + command.replace("-", "_"))
+        params = inspect.signature(handler).parameters
+        assert set(params) == set(_COMMANDS[command].flags) | {"seed"}, command
         assert main([command, *argv]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "".join(epilog.split()) == header, command
@@ -485,7 +493,9 @@ SMALL_INT = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "6", "x"])
 FUZZ_VALUES = {
     "--T": SMALL_INT,
     "--d": SMALL_INT,
-    "--epsilon": st.sampled_from(["-0.5", "0", "0.1", "0.4", "0.9", "1.5", "nan", "inf"]),
+    "--epsilon": st.sampled_from(
+        ["-0.5", "0", "1e-200", "0.1", "0.4", "0.9", "1.5", "nan", "inf"]
+    ),
     "--m": st.sampled_from(["0", "1", "2", "3", "10", "-1", "0,1", "0,1,2", "1,x", ""]),
     "--seed": st.sampled_from(["-1", "0", "7", "x"]),
     "--solver": st.sampled_from(["closed", "gd", "newton"]),

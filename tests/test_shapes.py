@@ -3,10 +3,11 @@
 Zero-row, all-zero and rank-0 inputs run the same SVD and matmul path as
 any other input, so each case below checks what that general path returns.
 The rotation law checks that mapping every subspace, row and target
-through one orthogonal Q changes no forgetting value and maps each learned
-w to Q w. The scale law checks that w* -> c w* scales forgetting by c^2,
-and the span law that a replayed row already in the second task's
-augmented span changes nothing.
+through one orthogonal Q changes no forgetting value or certificate and
+maps each learned w to Q w. The scale law checks that w* -> c w* scales
+forgetting by c^2, the order law that reordering the rows of a task or of
+the replay memory leaves the learned w unchanged, and the span law that a
+replayed row already in the second task's augmented span changes nothing.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from continual_replay.errors import DimensionMismatch, InconsistentSystem
 from continual_replay.learner import (
+    augment_with_replay,
     fit_closed_form,
     fit_gd,
     run_sequence,
@@ -28,6 +30,7 @@ from continual_replay.linalg_core import (
     principal_angles,
 )
 from continual_replay.metrics import (
+    benign_replay_certificate,
     expected_forgetting_closed_form,
     expected_forgetting_trace_form,
     expected_replay_forgetting_two_tasks,
@@ -189,6 +192,10 @@ def test_rotation_changes_no_forgetting(case):
 
     s1, s2 = subspaces[:2]
     s1_q, s2_q = rotated[:2]
+    cert, cert_q = benign_replay_certificate(s1, s2), benign_replay_certificate(s1_q, s2_q)
+    # the operator norm is at most 1; the worst seen is 4.4e-16
+    _assert_close(cert_q["op_norm_value"], cert["op_norm_value"], "certificate")
+    assert cert_q["certified"] == cert["certified"]
     rows = rng.standard_normal((m, d))
     _assert_close(
         expected_forgetting_trace_form(s1_q, s2_q),
@@ -244,6 +251,53 @@ def test_scaling_the_target_scales_forgetting_by_its_square(case):
         for w in (w_star, c * w_star)
     ]
     _assert_close(kernel[1]["mean"], c * c * kernel[0]["mean"], "replay kernel mean", floor=1e-14)
+    # both learners on rows spanning the two subspaces; the worst seen is
+    # 3.6e-14 absolute on a value scaled by up to 64 (1.2e-14 relative)
+    tasks = [
+        Task(rows, rows @ w_star)
+        for rows in (rng.uniform(1.0, 2.0, size=(s.rank, 1)) * s.basis.T for s in (s1, s2))
+    ]
+    seq = TaskSequence(tuple(tasks), w_star)
+    seq_c = TaskSequence(tuple(Task(t.X, c * t.y) for t in tasks), c * w_star)
+    for solver in ("closed_form", "gd"):
+        _assert_close(
+            forgetting_train(seq_c, run_sequence(seq_c, solver)),
+            c * c * forgetting_train(seq, run_sequence(seq, solver)),
+            solver,
+            floor=1e-14,
+        )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(rotation_cases())
+def test_reordering_rows_or_memory_changes_no_iterate(case):
+    # relative 1e-12 with an absolute floor of 1e-14 on each entry of w;
+    # the worst seen is 3.7e-15 absolute (3.9e-15 relative)
+    d, ranks, m, seed = case
+    rng = np.random.default_rng(seed)
+    w_star = rng.standard_normal(d)
+    tasks = [_well_conditioned_task(rng, k, d, w_star) for k in ranks]
+    seq = TaskSequence(tuple(tasks), w_star)
+    shuffled = []
+    for t in tasks:
+        order = rng.permutation(t.n_samples)
+        shuffled.append(Task(t.X[order], t.y[order]))
+    seq_shuffled = TaskSequence(tuple(shuffled), w_star)
+    memory = select_replay(seq, min(m, ranks[0] + ranks[1]), rng)
+    order = rng.permutation(memory.n_samples)
+    replayed = augment_with_replay(seq, memory)
+    replayed_shuffled = augment_with_replay(seq, Task(memory.X[order], memory.y[order]))
+    for solver in ("closed_form", "gd"):
+        _assert_close(
+            run_sequence(seq_shuffled, solver),
+            run_sequence(seq, solver),
+            f"{solver} rows",
+        )
+        _assert_close(
+            run_sequence(replayed_shuffled, solver),
+            run_sequence(replayed, solver),
+            f"{solver} memory",
+        )
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from continual_replay.errors import InconsistentSystem, InvalidParameters
+from continual_replay.errors import InconsistentSystem, InvalidParameters, RankDeficiency
 from continual_replay.linalg_core import orthonormal_basis, principal_angles
 from continual_replay.task_gen import (
     EPSILON_3D,
@@ -139,6 +139,41 @@ def test_sample_task_too_few():
     s = orthonormal_basis(np.eye(4)[:3])
     with pytest.raises(InvalidParameters, match="need at least 3 samples"):
         sample_task(s, 2, np.zeros(4), np.random.default_rng(0))
+
+
+class _ScriptedDraws:
+    """A generator stand-in whose standard normal draws are given in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        z = self.draws.pop(0)
+        assert z.shape == shape
+        return z
+
+
+def _rank_one_draw(n, k):
+    return np.outer(np.arange(1.0, n + 1), np.ones(k))
+
+
+def test_sample_task_redraws_a_rank_deficient_draw():
+    s = orthonormal_basis(np.random.default_rng(3).standard_normal((2, 5)))
+    w_star = np.arange(5.0)
+    full = np.random.default_rng(4).standard_normal((3, 2))
+    rng = _ScriptedDraws(_rank_one_draw(3, 2), full)
+    task = sample_task(s, 3, w_star, rng)
+    assert rng.draws == []
+    np.testing.assert_array_equal(task.X, (full * (1.0 / math.sqrt(2))) @ s.basis.T)
+    np.testing.assert_array_equal(task.y, task.X @ w_star)
+
+
+def test_sample_task_gives_up_after_one_redraw():
+    s = orthonormal_basis(np.random.default_rng(3).standard_normal((2, 5)))
+    rng = _ScriptedDraws(_rank_one_draw(3, 2), _rank_one_draw(3, 2))
+    with pytest.raises(RankDeficiency, match="rank 1 < 2 after a re-draw"):
+        sample_task(s, 3, np.zeros(5), rng)
+    assert rng.draws == []
 
 
 def test_sample_task_second_moment_matches_projector():
