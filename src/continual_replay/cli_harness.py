@@ -691,6 +691,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameters as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(
+            f"configuration error: not enough memory for the requested sizes: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     except ConsistencyFailure as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 3

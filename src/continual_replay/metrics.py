@@ -31,11 +31,11 @@ from .task_gen import TaskSequence
 
 # Trials per batched QR in the replay Monte Carlo kernel. A trial's stacked
 # [Z^T | B] holds k1 * (m + k2) entries, so a chunk is also capped at
-# _REPLAY_CHUNK_ENTRIES // (k1 * max(m, k2)) trials, which keeps that buffer
-# under 2 * _REPLAY_CHUNK_ENTRIES entries (16 MB): at d = 3000, m = 150, 4096
-# trials would need 15 GB. d = 152, m = 10 runs 694-trial chunks.
+# _REPLAY_CHUNK_ENTRIES // (k1 * max(m, k2)) trials: the draw, the stack and
+# LAPACK's copy stay near 1 MB each (86-trial chunks at d = 152, m = 10). A
+# chunk holds at least one trial: at d = 3000, m = 150, one 3.6 MB trial.
 _REPLAY_CHUNK = 4096
-_REPLAY_CHUNK_ENTRIES = 2**20
+_REPLAY_CHUNK_ENTRIES = 2**17
 # Draws per vectorized block in forgetting_test_mean.
 _TEST_CHUNK = 20000
 

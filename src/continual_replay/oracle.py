@@ -24,8 +24,9 @@ CLAIM_C2_STAT_MAX = 63.0**2 / (4.0 * 62.0)
 # Probability that a random-projection tail check fails although the true
 # tail frequency is at or below its bound.
 TAIL_FALSE_ALARM = 1e-6
-# Rows per block of tail draws: at d = 152 a block and its squares take 5 MB.
-_TAIL_CHUNK = 2048
+# Floats per block of Gaussian draws in the tail and sandwich oracles (512 KB,
+# so a block's buffers stay near 1 MB); blocking never shows in their output.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,13 @@ def oracle_random_projection_tails(
     t_low, t_high = 1.0 / 30.0, 5.0
     thr_low = t_low * m / (d - 1)
     thr_high = t_high * m / (d - 1)
-    done = 0
-    while done < trials:
-        size = min(_TAIL_CHUNK, trials - done)
-        g = gen.standard_normal((size, d - 1))
-        sq = g**2
-        stat = sq[:, :m].sum(axis=1) / sq.sum(axis=1)
+    rows = max(1, _BLOCK_ENTRIES // (d - 1))
+    for start in range(0, trials, rows):
+        g = gen.standard_normal((min(rows, trials - start), d - 1))
+        np.square(g, out=g)
+        stat = g[:, :m].sum(axis=1) / g.sum(axis=1)
         low_count += int(np.sum(stat <= thr_low))
         high_count += int(np.sum(stat >= thr_high))
-        done += size
     verdicts = []
     for name, count, t in (
         ("projection_tail_lower", low_count, t_low),
@@ -224,16 +223,15 @@ def oracle_projector_sandwich(
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
     gen = np.random.default_rng(seed)
-    e = np.zeros(d - 1)
-    e[0] = 1.0
+    block = max(1, _BLOCK_ENTRIES // (m * (d - 1)))
     worst = math.inf
-    for _ in range(trials):
-        G = gen.standard_normal((m, d - 1))
+    for start in range(0, trials, block):
+        G = gen.standard_normal((min(block, trials - start), m, d - 1))
         A = G.copy()
-        A[:, 0] *= epsilon
-        iso = _proj_sq_norm(G, e)
-        aniso = _proj_sq_norm(A, e)
-        worst = min(worst, aniso - epsilon**2 * iso, iso - aniso)
+        A[:, :, 0] *= epsilon
+        iso = _proj_sq_norm(G)
+        aniso = _proj_sq_norm(A)
+        worst = min(worst, np.min(aniso - epsilon**2 * iso), np.min(iso - aniso))
     return OracleVerdict(
         name="projector_sandwich",
         observed=float(worst),
@@ -244,8 +242,8 @@ def oracle_projector_sandwich(
     )
 
 
-def _proj_sq_norm(rows: np.ndarray, v: np.ndarray) -> float:
-    # squared norm of the orthogonal projection of v onto the row span
+def _proj_sq_norm(rows: np.ndarray) -> np.ndarray:
+    # squared norm of the projection of the first axis onto each stacked row span
     _, svals, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(svals > 1e-12 * svals.max(initial=0.0)))
-    return float(np.sum((vh[:rank] @ v) ** 2))
+    keep = svals > 1e-12 * svals.max(axis=-1, initial=0.0, keepdims=True)
+    return np.sum(np.where(keep, vh[..., 0], 0.0) ** 2, axis=-1)

@@ -163,6 +163,20 @@ def test_other_library_errors_exit_3(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    # a double, so the test allocates nothing large
+    def boom(**params):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli_harness, "cmd_worst_case", boom)
+    assert main(["worst-case"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "configuration error: not enough memory for the requested sizes: "
+        "Unable to allocate 74.5 GiB for an array\n"
+    )
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so no gate may rely on one
     package = Path(continual_replay.__file__).parent
@@ -272,6 +286,7 @@ def test_reruns_are_bit_identical(tmp_path):
         ["replay-sweep", "--d", "3", "--m", "0,1,2", "--trials", "5", "--seed", "7"],
         ["benign-check", "--d", "5", "--trials", "20", "--seed", "7"],
         ["worst-case", "--T", "10", "--d", "5", "--solver", "gd"],
+        ["oracles", "--trials", "10000", "--seed", "7"],
     ):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(argv + ["--out", str(a)]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ def _replay_case(name):
     [
         ("3d", 1, 3000),
         ("highdim", 10, 600),
-        ("highdim", 10, _REPLAY_CHUNK_ENTRIES // (151 * 10) + 1),  # past the entry-cap chunk
+        ("highdim", 10, _REPLAY_CHUNK_ENTRIES // (151 * 10) + 1),  # past the 86-trial chunk
         ("3d", 1, 1),
         ("3d", 1, 511),
         ("3d", 1, 512),
@@ -226,7 +227,7 @@ def _replay_case(name):
         ("3d", 1, _REPLAY_CHUNK + 1),
         ("3d", 2, _REPLAY_CHUNK + 1),
         ("3d", 5, 300),  # k2 + m > d: the stack has more rows than vh
-        ("wide", 20, 300),  # 399 x 20 replay blocks: the entry cap gives 131-trial chunks
+        ("wide", 20, 300),  # 399 x 20 replay blocks: the entry cap gives 16-trial chunks
         ("rand-8-6-4", 1, 300),  # k1 + k2 > d: P_1 W2 has rank 2 < k2
         ("rand-8-6-4", 3, 300),
         ("rand-12-5-5", 4, 300),
@@ -260,6 +261,19 @@ def test_replay_kernel_output_independent_of_chunk_size(monkeypatch, case, m):
     assert res["mean"].hex() == small["mean"].hex()
     assert res["std_err"].hex() == small["std_err"].hex()
     assert rng.bit_generator.state == small_rng.bit_generator.state
+
+
+def test_replay_kernel_working_set_is_bounded():
+    # numpy reports its buffers to tracemalloc; 86-trial chunks peak at 2.5 MiB
+    s1, s2, w_star = make_avg_case_highdim(152, 0.4)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        expected_replay_forgetting_two_tasks(s1, s2, w_star, 10, 6000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_replay_expectation_validates():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,85 @@ def test_oracle_sandwich_epsilon_one_coincides():
 
 def test_oracle_sandwich_single_row():
     assert oracle_projector_sandwich(20, 1, 0.4, 200, 2).passed
+
+
+# ------------------------------------------------ blocked draws, same output
+
+
+def _sandwich_reference(d, m, epsilon, trials, seed):
+    # one draw and two SVDs per trial, the oracle's 1e-12 rank rule on each
+    gen = np.random.default_rng(seed)
+    e = np.zeros(d - 1)
+    e[0] = 1.0
+
+    def proj_sq_norm(rows):
+        _, svals, vh = np.linalg.svd(rows, full_matrices=False)
+        rank = int(np.sum(svals > 1e-12 * svals.max(initial=0.0)))
+        return float(np.sum((vh[:rank] @ e) ** 2))
+
+    worst = math.inf
+    for _ in range(trials):
+        G = gen.standard_normal((m, d - 1))
+        A = G.copy()
+        A[:, 0] *= epsilon
+        iso, aniso = proj_sq_norm(G), proj_sq_norm(A)
+        worst = min(worst, aniso - epsilon**2 * iso, iso - aniso)
+    return worst
+
+
+def _tails_reference(d, m, trials, seed):
+    # 2048-row blocks, squared into a new array
+    gen = np.random.default_rng(seed)
+    low = high = 0
+    thr_low, thr_high = (1.0 / 30.0) * m / (d - 1), 5.0 * m / (d - 1)
+    done = 0
+    while done < trials:
+        size = min(2048, trials - done)
+        sq = gen.standard_normal((size, d - 1)) ** 2
+        stat = sq[:, :m].sum(axis=1) / sq.sum(axis=1)
+        low += int(np.sum(stat <= thr_low))
+        high += int(np.sum(stat >= thr_high))
+        done += size
+    return low / trials, high / trials
+
+
+@pytest.mark.parametrize("one_per_block", [False, True])
+@pytest.mark.parametrize(
+    "d,m,epsilon,trials",
+    [(152, 10, 0.4, 1000), (20, 3, 1.0, 50), (20, 1, 0.4, 200), (31, 5, 0.3, 97)],
+)
+def test_sandwich_blocks_match_per_trial_loop(
+    monkeypatch, one_per_block, d, m, epsilon, trials
+):
+    if one_per_block:
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 1)
+    v = oracle_projector_sandwich(d, m, epsilon, trials, 4)
+    assert v.observed == _sandwich_reference(d, m, epsilon, trials, 4)
+
+
+@pytest.mark.parametrize("one_per_block", [False, True])
+@pytest.mark.parametrize("d,m,seed", [(152, 10, RARE_EVENT_SEED), (31, 5, 3)])
+def test_tail_blocks_match_2048_row_loop(monkeypatch, one_per_block, d, m, seed):
+    if one_per_block:
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 1)
+    lo, hi = oracle_random_projection_tails(d, m, 10**4, seed)
+    assert (lo.observed, hi.observed) == _tails_reference(d, m, 10**4, seed)
+
+
+def _traced_peak(fn, *args):
+    # numpy reports its buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_working_sets_are_bounded():
+    # 434-row tail blocks peak at 1.0 MiB, 43-trial sandwich blocks at 1.5 MiB
+    assert _traced_peak(oracle_random_projection_tails, 152, 10, 10**5, 0) <= 3 * 2**20
+    assert _traced_peak(oracle_projector_sandwich, 152, 10, 0.4, 1000, 0) <= 3 * 2**20
 
 
 # ----------------------------------------------------------- frozen baseline
