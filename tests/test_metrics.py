@@ -217,6 +217,7 @@ def _replay_case(name):
         ("3d", 1, 3000),
         ("highdim", 10, 600),
         ("highdim", 10, _REPLAY_CHUNK_ENTRIES // (151 * 10) + 1),  # past the 86-trial chunk
+        ("highdim", 10, 695),  # eight full 86-trial chunks and a 7-trial tail
         ("3d", 1, 1),
         ("3d", 1, 511),
         ("3d", 1, 512),
