@@ -85,6 +85,9 @@ def test_claim_statistic_degenerate_and_bounds():
 def test_oracle_claim_c2():
     with pytest.raises(InvalidParameters):
         oracle_claim_c2(100, 0)
+    for trials in (0, -3):
+        with pytest.raises(InvalidParameters, match="trials must be >= 1"):
+            claim_c2_statistics(trials, 1)
     v = oracle_claim_c2(20000, 0)
     assert v.passed and v.bound_or_expected == 1.4 and v.seed == 0
 
@@ -208,6 +211,35 @@ def _tails_reference(d, m, trials, seed):
     return low / trials, high / trials
 
 
+def _claim_c2_reference(trials, seed):
+    # 200 000-draw blocks, each whole a1 then whole a2, into new arrays
+    gen = np.random.default_rng(seed)
+    values = np.zeros(trials)
+    done = 0
+    while done < trials:
+        size = min(200000, trials - done)
+        a1 = gen.standard_normal(size)
+        a2 = gen.standard_normal(size)
+        alpha_sq = a1**2 / (a2**2 / 63.0 + a1**2)
+        values[done : done + size] = 63.0 * alpha_sq - 62.0 * alpha_sq**2
+        done += size
+    mean = float(values.mean())
+    std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return mean, std_err
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("trials", [1, 2, 10**4, 10**5, 200000, 200001, 450001])
+def test_claim_c2_pieces_match_200000_block_loop(trials, seed):
+    assert claim_c2_statistics(trials, seed) == _claim_c2_reference(trials, seed)
+
+
+@pytest.mark.parametrize("trials", [1, 1000, 2001])
+def test_claim_c2_seven_float_pieces_match_block_loop(monkeypatch, trials):
+    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 7)
+    assert claim_c2_statistics(trials, 5) == _claim_c2_reference(trials, 5)
+
+
 @pytest.mark.parametrize("one_per_block", [False, True])
 @pytest.mark.parametrize(
     "d,m,epsilon,trials",
@@ -242,9 +274,12 @@ def _traced_peak(fn, *args):
 
 
 def test_oracle_working_sets_are_bounded():
-    # 434-row tail blocks peak at 1.0 MiB, 43-trial sandwich blocks at 1.5 MiB
+    # 434-row tail blocks peak at 1.0 MiB, 43-trial sandwich blocks at 1.5 MiB;
+    # the claim-C2 statistic at 2.0 MiB: its 0.76 MiB output, one 0.5 MiB a2
+    # piece and the variance's own 0.76 MiB temporary
     assert _traced_peak(oracle_random_projection_tails, 152, 10, 10**5, 0) <= 3 * 2**20
     assert _traced_peak(oracle_projector_sandwich, 152, 10, 0.4, 1000, 0) <= 3 * 2**20
+    assert _traced_peak(claim_c2_statistics, 10**5, 0) <= 3 * 2**20
 
 
 # ----------------------------------------------------------- frozen baseline
