@@ -42,6 +42,7 @@ from .metrics import (
     benign_replay_certificate,
     expected_forgetting_closed_form,
     expected_forgetting_trace_form,
+    expected_replay_forgetting_rank_one,
     expected_replay_forgetting_two_tasks,
     forgetting_train,
     replay_null_projector,
@@ -184,10 +185,14 @@ def _two_task(d: int, epsilon: float) -> tuple[Subspace, Subspace, np.ndarray, f
 
     Builds the case, checks its exact no-replay forgetting (the projector
     cascade) against eps^2 (1 - eps^2) (a = 1 for the default w*), and
-    returns (s1, s2, w*, that formula).
+    returns (s1, s2, w*, that formula). A formula that underflows to 0
+    (eps below about 1.6e-162) is a configuration error: every value the
+    commands compare with it is 0 too.
     """
     s1, s2, w_star = make_avg_case_highdim(d, epsilon)
     base = epsilon**2 * (1.0 - epsilon**2)
+    if base == 0.0:
+        raise InvalidParameters(f"epsilon {epsilon} is too small: eps^2 (1 - eps^2) is 0")
     exact = expected_forgetting_closed_form([s1, s2], w_star)
     _require(abs(exact - base) <= 1e-12, "construction no longer matches its closed form")
     return s1, s2, w_star, base
@@ -198,9 +203,6 @@ def cmd_avg_case_3d(epsilon: float, m: int, trials: int, seed: int) -> Experimen
     if trials < 10**3:
         raise InvalidParameters("avg-case-3d needs trials >= 10^3")
     s1, s2, w_star, base = _two_task(3, epsilon)
-    if base == 0.0:
-        # eps^2 (1 - eps^2) underflows for eps below about 1.6e-162.
-        raise InvalidParameters(f"epsilon {epsilon} is too small: eps^2 (1 - eps^2) is 0")
     rng = _stream(seed, "avg-case-3d")
     res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
     ratio = res["mean"] / base
@@ -265,7 +267,9 @@ def cmd_replay_sweep(
     subspace rank so gradient descent stays well-conditioned; the spans,
     and hence every fixed point, are unchanged), draws m stored rows
     uniformly without replacement, and evaluates the exact per-iterate
-    forgetting ||Pi_1 (w_2 - w*)||^2 for both solvers.
+    forgetting ||Pi_1 (w_2 - w*)||^2 for both solvers. ``analytic_value`` is
+    its exact expectation: eps^2 (1 - eps^2) without replay, the rank-one
+    Beta integral for 0 < m < k1, and 0 once the memory spans task 1.
     """
     if not m_list:
         raise InvalidParameters("replay-sweep needs a nonempty m list")
@@ -300,11 +304,11 @@ def cmd_replay_sweep(
                 residuals[(m, solver)] = max(residuals[(m, solver)], res)
     rows = []
     for m in m_list:
+        analytic = base if m == 0 else expected_replay_forgetting_rank_one(s1.rank, m, eps)
         for solver in ("closed_form", "gd"):
             v = np.array(values[(m, solver)])
             mean = float(v.mean())
             se = float(v.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-            analytic = base if m == 0 else (0.0 if m >= s1.rank else float("nan"))
             rows.append(
                 {
                     "case": case,

@@ -5,11 +5,11 @@ first T-1 tasks (the final task is fit exactly, so it never contributes).
 Three variants are exposed: squared error on the training rows themselves,
 squared error on freshly drawn rows from the task subspaces, and the exact
 expectation of the fresh-sample variant, which reduces to projector
-algebra. On top of these sit the two-task replay expectation (Monte Carlo,
-computed per trial in the orthonormal coordinates of task 1 plus the part
-of task 2 outside it, so no trial forms a d-vector) and the benign-replay
-certificate with its trace-form exact expectation over standard-normal
-targets.
+algebra. On top of these sit the two-task replay expectation (Monte Carlo
+over the law of the replayed span, so no trial forms a d-vector or draws a
+memory row), its exact value when the second task is one direction (a
+one-dimensional Beta integral), and the benign-replay certificate with its
+trace-form exact expectation over standard-normal targets.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ from .linalg_core import (
 )
 from .task_gen import TaskSequence
 
-# Trials per batched QR in the replay Monte Carlo kernel. A trial's stacked
-# [Z^T | B] holds k1 * (m + k2) entries, so a chunk is also capped at
-# _REPLAY_CHUNK_ENTRIES // (k1 * max(m, k2)) trials: the draw, the stack and
-# LAPACK's copy stay near 1 MB each (86-trial chunks at d = 152, m = 10). A
-# chunk holds at least one trial: at d = 3000, m = 150, one 3.6 MB trial.
+# Trials per chunk in the replay Monte Carlo kernel. A trial draws k1 * k2
+# normals and keeps a few k1 x r and k2 x k2 arrays (r <= k2), so a chunk is
+# also capped at _REPLAY_CHUNK_ENTRIES // (k2 * max(k1, k2)) trials: each
+# array stays near 0.5 MB (434-trial chunks at d = 152). A chunk holds at
+# least one trial.
 _REPLAY_CHUNK = 4096
-_REPLAY_CHUNK_ENTRIES = 2**17
+_REPLAY_CHUNK_ENTRIES = 2**16
+# Gauss-Legendre nodes per panel of the exact rank-one replay value.
+_QUAD_NODES = 32
 # Draws per vectorized block in forgetting_test_mean.
 _TEST_CHUNK = 20000
 
@@ -127,6 +129,37 @@ def replay_null_projector(s2: Subspace, memory_rows) -> Projector:
     return Projector(np.eye(s2.ambient_dim) - U.T @ U)
 
 
+def _polar_factor(H: np.ndarray) -> np.ndarray:
+    """H (H^T H)^(-1/2) for a stack of full-column-rank H.
+
+    The symmetric inverse root comes from a batched ``eigh`` of the Gram
+    matrix, applied twice: the second pass, on a Gram matrix within
+    rounding of I, brings the error from rounding times cond(H)^2 down to
+    rounding times cond(H).
+    """
+    for _ in range(2):
+        evals, evecs = np.linalg.eigh(H.transpose(0, 2, 1) @ H)
+        root = (evecs / np.sqrt(evals)[:, None, :]) @ evecs.transpose(0, 2, 1)
+        H = np.einsum("nij,njk->nik", H, root)
+    return H
+
+
+def _replay_values(H, m, SVt, C0tC0, c) -> np.ndarray:
+    """||B~ y||^2 per trial for a stack of H = G V (see the kernel below).
+
+    A function of its own, so no chunk's arrays outlive the chunk.
+    """
+    Phi = _polar_factor(H)[:, m:]
+    BtB = SVt.T @ (Phi.transpose(0, 2, 1) @ Phi) @ SVt  # B~ = Phi[m:] S V^T
+    evals, evecs = np.linalg.eigh(BtB + C0tC0)
+    evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
+    keep = rank_mask(np.sqrt(np.clip(evals, 0.0, None)))
+    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)
+    y = evecs @ (inv * (c @ evecs))[:, :, None]
+    Bty = np.einsum("nij,nj->ni", Phi, (SVt @ y)[:, :, 0])
+    return np.einsum("ni,ni->n", Bty, Bty)
+
+
 def expected_replay_forgetting_two_tasks(
     s1: Subspace,
     s2: Subspace,
@@ -137,34 +170,38 @@ def expected_replay_forgetting_two_tasks(
 ) -> dict:
     """Monte Carlo replay forgetting for a two-task sequence.
 
-    Each trial draws m memory rows W1 z_i, z_i ~ N(0, I / k1) (the first
-    task's sampling law; the z_i are the rows of Z), and evaluates
-    ||Pi_1 P~_2 P_1 w*||^2, where P~_2 is the null projector of task 2
-    augmented with those rows.
+    Each trial replays m memory rows W1 z_i with z_i ~ N(0, I / k1) (the
+    first task's sampling law) and evaluates ||Pi_1 P~_2 P_1 w*||^2, where
+    P~_2 is the null projector of task 2 augmented with those rows.
 
-    The kernel never forms a d-vector per trial. Split
-    W2 = W1 B + C0 with B = W1^T W2 and C0 = P_1 W2. With B~ the part of B
-    outside span Z^T, the union span is span(W1 Z^T) + span(W1 B~ + C0),
-    the two parts orthogonal. Since q = P_1 w* is orthogonal to span W1,
-    W1^T P~_2 q = -B~ y with y the pseudo-inverse solution of
-    (B~^T B~ + C0^T C0) y = C0^T q. The pseudo-inverse keeps the
-    eigen-directions whose square-rooted eigenvalue passes ``rank_mask``
-    (1e-10 of the largest).
+    The kernel never forms a d-vector per trial. Split W2 = W1 B + C0 with
+    B = W1^T W2 and C0 = P_1 W2. With B~ = (I - P_Z) B the part of B
+    outside span Z^T (Z holds the z_i as rows), the union span is
+    span(W1 Z^T) + span(W1 B~ + C0), the two parts orthogonal. Since
+    q = P_1 w* is orthogonal to span W1, W1^T P~_2 q = -B~ y with y the
+    pseudo-inverse solution of (B~^T B~ + C0^T C0) y = C0^T q. The
+    pseudo-inverse keeps the eigen-directions whose square-rooted eigenvalue
+    passes ``rank_mask`` (1e-10 of the largest). The value is ||B~ y||^2.
 
-    B~ is read from one Householder QR of the k1 x (m + k2) matrix
-    [Z^T | B], R factor only (no Q is formed). Its trailing block
-    R22 = R[m:, m:] satisfies R22^T R22 = B~^T B~ whenever Z has full rank
-    (with probability 1), so ||B~ y|| = ||R22 y|| (Bjorck, Numerical
-    Methods for Least Squares Problems, 1996, sec. 1.3). For m >= k1 the
-    block has no rows and the value is exactly 0. A trial's value depends
-    on Z only through its row span, so the draw is used unscaled; only the
-    k2-column [R22; C0] is squared, never Z.
+    No memory row is drawn. span Z^T is a uniform m-subspace of R^k1, so
+    with U S V^T the part of B's SVD that passes ``rank_mask`` (r columns),
+    U^T (I - P_Z) U has the law of Phi[m:]^T Phi[m:] for a Haar k1 x r
+    frame Phi: a matrix-variate Beta, or Jacobi, law (Muirhead, Aspects of
+    Multivariate Statistical Theory, 1982, sec. 3.3). Each trial therefore
+    draws a k1 x k2 matrix G of N(0, 1) entries, takes Phi as the polar
+    factor H (H^T H)^(-1/2) of H = G V, and uses B~ = Phi[m:] S V^T: its
+    Gram matrix has the law of B^T (I - P_Z) B, and the value reads B~ only
+    through that Gram matrix. Replacing V by V O, with O commuting with S
+    (the SVD's own freedom), maps Phi to Phi O and leaves B~ unchanged, so
+    rotating both tasks, which moves B by rounding only, gives the same
+    values from the same seed, also where B has repeated singular values.
+    For m >= k1, Phi[m:] has no rows and the value is exactly 0.
 
-    Trials run in chunks of up to ``_REPLAY_CHUNK``. A chunk draws all of its
-    replay coefficients in one call, which consumes ``rng`` in the same
-    order as one draw per trial, and factors the stacked matrices
-    [Z^T | B] in one batched QR (stacked ``mode="r"`` needs NumPy >= 1.22).
-    Chunking never shows in the output.
+    A call consumes exactly trials * k1 * k2 standard normals from ``rng``,
+    the same stream as one ``rng.standard_normal((trials, k1, k2))``: 151 a
+    trial at d = 152, where memory rows would take m * 151. Trials run in
+    chunks of up to ``_REPLAY_CHUNK``, each drawn in one call, so chunking
+    never shows in the output.
 
     Returns:
         {"mean", "std_err", "trials"} of the per-trial values.
@@ -187,25 +224,70 @@ def expected_replay_forgetting_two_tasks(
     C0 = W2 - W1 @ B  # P_1 W2
     c = C0.T @ q
     C0tC0 = C0.T @ C0
+    _, svals, vh = np.linalg.svd(B, full_matrices=False)
+    keep = rank_mask(svals)
+    V = vh[keep].T
+    SVt = svals[keep, None] * vh[keep]  # S V^T
     values = np.empty(trials)
     k2 = s2.rank
-    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // (k1 * max(m, k2))))
+    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // max(1, k2 * max(k1, k2))))
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        ZB = np.empty((size, m + k2, k1))
-        ZB[:, :m] = rng.standard_normal((size, m, k1))
-        ZB[:, m:] = B.T
-        R = np.linalg.qr(ZB.transpose(0, 2, 1), mode="r")
-        Bt = R[:, m:, m:]  # R22, Bt^T Bt = B~^T B~
-        evals, evecs = np.linalg.eigh(Bt.transpose(0, 2, 1) @ Bt + C0tC0)
-        evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
-        keep = rank_mask(np.sqrt(np.clip(evals, 0.0, None)))
-        inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)
-        y = evecs @ (inv * (c @ evecs))[:, :, None]
-        values[start : start + size] = np.sum((Bt @ y) ** 2, axis=(1, 2))
+        H = (rng.standard_normal((size * k1, k2)) @ V).reshape(size, k1, -1)
+        values[start : start + size] = _replay_values(H, m, SVt, C0tC0, c)
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return {"mean": mean, "std_err": std_err, "trials": trials}
+
+
+def expected_replay_forgetting_rank_one(k1: int, m: int, epsilon: float) -> float:
+    """Exact replay forgetting of ``make_avg_case_highdim``'s two tasks.
+
+    There task 2 is one direction v_d, B = W1^T v_d = c e_u with
+    c^2 = 1 - eps^2, and ||w*|| = 1. A uniform m-row memory acts on a trial
+    only through rho = 1 - ||Q_Z^T e_u||^2 ~ Beta((k1 - m)/2, m/2)
+    (Dasgupta & Gupta, Random Struct. Alg. 2003), and the trial's value is
+    c^2 eps^2 rho / (c^2 rho + eps^2)^2. This returns its expectation, the
+    value ``expected_replay_forgetting_two_tasks`` estimates with k1 = d - 1.
+    It is 0 for m >= k1, where the memory spans task 1.
+
+    The integral is Gauss-Legendre in phi with rho = sin^2 phi, under the
+    Beta density with its ``math.lgamma`` normaliser, on composite panels
+    with ``_QUAD_NODES`` nodes each. Panel edges sit at eps/c times powers of 2,
+    which resolves the value's peak at sin phi = eps/c for every eps, and
+    on a uniform grid of ceil(sqrt(k1)) panels, which resolves the Beta
+    weight's width of about 1/sqrt(k1).
+    """
+    if m < 1 or k1 < 1:
+        raise InvalidParameters("the exact replay value needs k1 >= 1 and m >= 1")
+    if not (0.0 < epsilon < 1.0):
+        raise InvalidParameters(f"epsilon must be in (0, 1), got {epsilon}")
+    if m >= k1:
+        return 0.0
+    a, b = (k1 - m) / 2.0, m / 2.0
+    cos_eps = math.sqrt(1.0 - epsilon**2)
+    grid = math.ceil(math.sqrt(k1))
+    edges = {math.pi / 2.0 * i / grid for i in range(grid + 1)}
+    peak = epsilon / cos_eps
+    while peak < math.pi / 2.0:
+        edges.add(peak)
+        peak *= 2.0
+    edges = np.array(sorted(edges))
+    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    half = (edges[1:] - edges[:-1])[:, None] / 2.0
+    phi = edges[:-1, None] + half * (x + 1.0)
+    sin, cos = np.sin(phi), np.cos(phi)
+    log_density = (
+        math.log(2.0)
+        + math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + (k1 - m - 1) * np.log(sin)
+        + (m - 1) * np.log(cos)
+    )
+    t = cos_eps * sin / epsilon  # the value is (t / (1 + t^2))^2
+    value = 1.0 / (t + 1.0 / t) ** 2
+    return float(np.sum(half * w * np.exp(log_density) * value))
 
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0

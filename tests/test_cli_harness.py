@@ -20,6 +20,7 @@ import continual_replay
 from continual_replay import cli_harness
 from continual_replay.cli_harness import _COMMANDS, _check_highdim_constraints, main
 from continual_replay.errors import ConsistencyFailure, InvalidParameters, NotConverged
+from continual_replay.metrics import expected_replay_forgetting_rank_one
 
 
 def _read_csv(path):
@@ -67,8 +68,11 @@ def test_worst_case_stdout(capsys):
         ["oracles", "--trials", "100"],
         ["avg-case-highdim", "--epsilon", "0.5"],
         ["replay-sweep", "--d", "2"],
-        # eps^2 (1 - eps^2) underflows to 0, which the ratio divides by
+        # eps^2 (1 - eps^2) underflows to 0, which the ratio divides by and
+        # every other two-task column would equal
         ["avg-case-3d", "--epsilon", "1e-200", "--trials", "1000"],
+        ["avg-case-highdim", "--epsilon", "1e-200", "--trials", "10"],
+        ["replay-sweep", "--d", "5", "--epsilon", "1e-200", "--trials", "3"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
@@ -363,7 +367,9 @@ def test_replay_sweep_analytic_columns(tmp_path):
     assert float(rows[0]["analytic_value"]) == float(rows[0]["no_replay_analytic"])
     assert float(rows[2]["analytic_value"]) == 0.0
     assert float(rows[2]["mean_forgetting"]) <= 1e-12
-    assert math.isnan(float(rows[1]["analytic_value"]))
+    # 0 < m < rank: the rank-one Beta integral, 1/(2 eps) times no replay
+    exact = expected_replay_forgetting_rank_one(2, 1, float(rows[1]["epsilon"]))
+    assert float(rows[1]["analytic_value"]) == exact == pytest.approx(0.061994, abs=5e-7)
     assert float(rows[1]["mean_forgetting"]) > float(rows[0]["mean_forgetting"])
 
 

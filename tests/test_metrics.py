@@ -12,13 +12,12 @@ from continual_replay.errors import (
     TooFewTasks,
 )
 from continual_replay.learner import augment_with_replay, run_sequence
-from continual_replay.linalg_core import Projector, Subspace, orthonormal_basis
+from continual_replay.linalg_core import Projector, Subspace, orthonormal_basis, rank_mask
 from continual_replay.metrics import (
-    _REPLAY_CHUNK,
-    _REPLAY_CHUNK_ENTRIES,
     benign_replay_certificate,
     expected_forgetting_closed_form,
     expected_forgetting_trace_form,
+    expected_replay_forgetting_rank_one,
     expected_replay_forgetting_two_tasks,
     forgetting_test_mean,
     forgetting_train,
@@ -183,7 +182,7 @@ def test_replay_ratio_3d_is_one_over_two_eps(eps):
 
 
 def _replay_forgetting_reference(s1, s2, w_star, m, trials, rng):
-    # the per-trial loop the chunked kernel replaced: one SVD per trial
+    # the per-trial loop the chunked QR kernel replaced: one SVD per trial
     W1 = s1.basis
     q = w_star - W1 @ (W1.T @ w_star)
     values = np.zeros(trials)
@@ -194,6 +193,44 @@ def _replay_forgetting_reference(s1, s2, w_star, m, trials, rng):
         B = vh[: int(np.sum(svals > 1e-10 * svals[0]))]
         p = q - B.T @ (B @ q)
         values[i] = float(np.sum((W1.T @ p) ** 2))
+    std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(values.mean()), std_err
+
+
+# Chunking of the QR reference below: at most _QR_CHUNK trials, and at most
+# _QR_CHUNK_ENTRIES // (k1 * max(m, k2)) (86-trial chunks at d = 152, m = 10).
+_QR_CHUNK = 4096
+_QR_CHUNK_ENTRIES = 2**17
+
+
+def _replay_forgetting_qr_reference(s1, s2, w_star, m, trials, rng):
+    # The kernel before the law route: each trial draws its m memory rows in
+    # task 1's coordinates (m * k1 normals, the rows of Z) and reads B~ from
+    # the R factor of one Householder QR of [Z^T | B]. Its trailing block
+    # R22 satisfies R22^T R22 = B~^T B~ (Bjorck 1996, sec. 1.3), so the value
+    # is ||R22 y||^2, and for m >= k1 the block has no rows.
+    W1, W2 = s1.basis, s2.basis
+    q = w_star - W1 @ (W1.T @ w_star)
+    B = W1.T @ W2
+    C0 = W2 - W1 @ B
+    c = C0.T @ q
+    C0tC0 = C0.T @ C0
+    k1, k2 = s1.rank, s2.rank
+    values = np.empty(trials)
+    chunk = max(1, min(_QR_CHUNK, _QR_CHUNK_ENTRIES // (k1 * max(m, k2))))
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        ZB = np.empty((size, m + k2, k1))
+        ZB[:, :m] = rng.standard_normal((size, m, k1))
+        ZB[:, m:] = B.T
+        R = np.linalg.qr(ZB.transpose(0, 2, 1), mode="r")
+        Bt = R[:, m:, m:]
+        evals, evecs = np.linalg.eigh(Bt.transpose(0, 2, 1) @ Bt + C0tC0)
+        evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
+        keep = rank_mask(np.sqrt(np.clip(evals, 0.0, None)))
+        inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)
+        y = evecs @ (inv * (c @ evecs))[:, :, None]
+        values[start : start + size] = np.sum((Bt @ y) ** 2, axis=(1, 2))
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(values.mean()), std_err
 
@@ -211,48 +248,152 @@ def _replay_case(name):
     return make_avg_case_highdim(400 if name == "wide" else 152, 0.4)
 
 
-@pytest.mark.parametrize(
-    "case,m,trials",
-    [
-        ("3d", 1, 3000),
-        ("highdim", 10, 600),
-        ("highdim", 10, _REPLAY_CHUNK_ENTRIES // (151 * 10) + 1),  # past the 86-trial chunk
-        ("highdim", 10, 695),  # eight full 86-trial chunks and a 7-trial tail
-        ("3d", 1, 1),
-        ("3d", 1, 511),
-        ("3d", 1, 512),
-        ("3d", 1, 513),
-        ("3d", 2, 513),  # m = rank: replay spans task 1
-        ("3d", 1, _REPLAY_CHUNK - 1),
-        ("3d", 1, _REPLAY_CHUNK),
-        ("3d", 1, _REPLAY_CHUNK + 1),
-        ("3d", 2, _REPLAY_CHUNK + 1),
-        ("3d", 5, 300),  # k2 + m > d: the stack has more rows than vh
-        ("wide", 20, 300),  # 399 x 20 replay blocks: the entry cap gives 16-trial chunks
-        ("rand-8-6-4", 1, 300),  # k1 + k2 > d: P_1 W2 has rank 2 < k2
-        ("rand-8-6-4", 3, 300),
-        ("rand-12-5-5", 4, 300),
-        ("rand-8-6-4", 9, 300),  # m > k1: replay spans task 1
-        ("rand-10-4-3", 2, 513),
-        ("rand-10-4-3", 2, _REPLAY_CHUNK + 1),  # k2 = 3 across a chunk boundary
-    ],
-)
+_KERNEL_CASES = [
+    ("3d", 1, 3000),
+    ("highdim", 10, 600),
+    ("highdim", 10, _QR_CHUNK_ENTRIES // (151 * 10) + 1),  # past the 86-trial chunk
+    ("highdim", 10, 695),  # eight full 86-trial chunks and a 7-trial tail
+    ("3d", 1, 1),
+    ("3d", 1, 511),
+    ("3d", 1, 512),
+    ("3d", 1, 513),
+    ("3d", 2, 513),  # m = rank: replay spans task 1
+    ("3d", 1, _QR_CHUNK - 1),
+    ("3d", 1, _QR_CHUNK),
+    ("3d", 1, _QR_CHUNK + 1),
+    ("3d", 2, _QR_CHUNK + 1),
+    ("3d", 5, 300),  # k2 + m > d: the stack has more rows than vh
+    ("wide", 20, 300),  # 399 x 20 replay blocks: the entry cap gives 16-trial chunks
+    ("rand-8-6-4", 1, 300),  # k1 + k2 > d: P_1 W2 has rank 2 < k2
+    ("rand-8-6-4", 3, 300),
+    ("rand-12-5-5", 4, 300),
+    ("rand-8-6-4", 9, 300),  # m > k1: replay spans task 1
+    ("rand-10-4-3", 2, 513),
+    ("rand-10-4-3", 2, _QR_CHUNK + 1),  # k2 = 3 across a chunk boundary
+]
+
+
+@pytest.mark.parametrize("case,m,trials", _KERNEL_CASES)
 def test_chunked_replay_kernel_matches_per_trial_loop(case, m, trials):
+    # the chunked QR reference against the per-trial SVD loop, draw for draw
     s1, s2, w_star = _replay_case(case)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
+    mean, se = _replay_forgetting_qr_reference(s1, s2, w_star, m, trials, rng)
     ref_mean, ref_se = _replay_forgetting_reference(s1, s2, w_star, m, trials, ref_rng)
-    assert res["trials"] == trials
     if m >= s1.rank:
-        assert res["mean"] == 0.0 and ref_mean <= 1e-20
+        assert mean == 0.0 and ref_mean <= 1e-20
     else:
-        assert res["mean"] == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
-        assert res["std_err"] == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+        assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
+        assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
     # same draws in the same order: downstream streams are unchanged
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("case,m", [("3d", 1), ("rand-10-4-3", 2)])
+# |z| <= 4.9 is a two-sided gate with a false-alarm rate of about 1e-6.
+Z_GATE = 4.9
+# (8, 6, 4) with m = 5 fills R^8, so its true value is 0 and both routes
+# read rounding noise (about 1e-26); this absolute floor covers it.
+ZERO_FLOOR = 1e-20
+
+
+@pytest.mark.parametrize(
+    "case,m",
+    list(dict.fromkeys((case, m) for case, m, _ in _KERNEL_CASES)) + [("rand-8-6-4", 5)],
+)
+def test_law_kernel_matches_qr_reference(case, m):
+    # two independent streams, so the two means are independent estimates
+    s1, s2, w_star = _replay_case(case)
+    trials = 4000
+    res = expected_replay_forgetting_two_tasks(
+        s1, s2, w_star, m, trials, np.random.default_rng(12)
+    )
+    ref_mean, ref_se = _replay_forgetting_qr_reference(
+        s1, s2, w_star, m, trials, np.random.default_rng(11)
+    )
+    if m >= s1.rank:
+        assert res["mean"] == 0.0 and ref_mean == 0.0
+    else:
+        gap = abs(res["mean"] - ref_mean)
+        assert gap <= Z_GATE * math.hypot(res["std_err"], ref_se) + ZERO_FLOOR, (gap, ref_se)
+
+
+@pytest.mark.parametrize(
+    "d,eps,m,trials",
+    [(3, EPSILON_3D, 1, 10**5), (152, 0.4, 10, 20000), (152, 0.4, 120, 20000)],
+)
+def test_law_kernel_matches_exact_value(d, eps, m, trials):
+    s1, s2, w_star = make_avg_case_highdim(d, eps)
+    res = expected_replay_forgetting_two_tasks(
+        s1, s2, w_star, m, trials, np.random.default_rng(13)
+    )
+    exact = expected_replay_forgetting_rank_one(d - 1, m, eps)
+    assert abs(res["mean"] - exact) <= Z_GATE * res["std_err"]
+
+
+def test_law_kernel_keeps_the_rotation_law_on_square_frames():
+    # With k1 = k2 = rank(B) the frame's H = G V is square, and its smallest
+    # singular value is often small. A single inverse-root pass then loses
+    # about cond(H)^2 times rounding, and rotating the tasks (which moves B
+    # by rounding) missed relative 1e-12 on 72 of 400 such seeds; the second
+    # pass keeps every seed within 1e-13. Floor 1e-14 as in test_shapes.py.
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((6, 6)))
+        Q = q * np.sign(np.diag(r))
+        s1 = orthonormal_basis(rng.standard_normal((3, 6)))
+        s2 = orthonormal_basis(rng.standard_normal((3, 6)))
+        w_star = rng.standard_normal(6)
+        plain, rotated = (
+            expected_replay_forgetting_two_tasks(a, b, w, 1, 200, np.random.default_rng(seed))
+            for a, b, w in (
+                (s1, s2, w_star),
+                (Subspace(Q @ s1.basis), Subspace(Q @ s2.basis), Q @ w_star),
+            )
+        )
+        dev = abs(plain["mean"] - rotated["mean"])
+        assert dev <= 1e-12 * abs(plain["mean"]) + 1e-14, (seed, dev)
+
+
+def test_law_kernel_keeps_the_rotation_law_at_repeated_singular_values():
+    # B = W1^T W2 = diag(cos a, cos a, 0): the SVD may return any basis of
+    # the repeated pair, and after a rotation it returns another one. The
+    # symmetric inverse root makes the draw blind to that choice (worst seen
+    # 1.4e-15); a Cholesky root in its place missed by 0.16 relative.
+    e = np.eye(6)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((6, 6)))
+        Q = q * np.sign(np.diag(r))
+        a = rng.uniform(0.3, 1.2)
+        W1 = e[:, :3]
+        pair = [np.cos(a) * e[i] + np.sin(a) * e[i + 3] for i in (0, 1)]
+        W2 = np.stack(pair + [e[5]], axis=1)
+        w_star = rng.standard_normal(6)
+        for m in (1, 2):
+            plain, rotated = (
+                expected_replay_forgetting_two_tasks(
+                    Subspace(A @ W1), Subspace(A @ W2), A @ w_star, m, 200,
+                    np.random.default_rng(seed),
+                )["mean"]
+                for A in (np.eye(6), Q)
+            )
+            assert abs(plain - rotated) <= 1e-12 * abs(plain) + 1e-14, (seed, m)
+
+
+@pytest.mark.parametrize(
+    "case,m,trials",
+    [("3d", 1, 1), ("3d", 1, 4097), ("highdim", 10, 435), ("rand-10-4-3", 2, 513), ("3d", 5, 7)],
+)
+def test_law_kernel_draws_trials_k1_k2_normals(case, m, trials):
+    # the docstring's count, across chunk boundaries and for m >= k1
+    s1, s2, w_star = _replay_case(case)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
+    ref_rng.standard_normal((trials, s1.rank, s2.rank))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case,m", [("3d", 1), ("rand-10-4-3", 2), ("highdim", 10)])
 def test_replay_kernel_output_independent_of_chunk_size(monkeypatch, case, m):
     s1, s2, w_star = _replay_case(case)
     rng, small_rng = np.random.default_rng(5), np.random.default_rng(5)
@@ -265,7 +406,7 @@ def test_replay_kernel_output_independent_of_chunk_size(monkeypatch, case, m):
 
 
 def test_replay_kernel_working_set_is_bounded():
-    # numpy reports its buffers to tracemalloc; 86-trial chunks peak at 2.5 MiB
+    # numpy reports its buffers to tracemalloc; 434-trial chunks peak at 1.6 MiB
     s1, s2, w_star = make_avg_case_highdim(152, 0.4)
     rng = np.random.default_rng(0)
     tracemalloc.start()
@@ -275,6 +416,58 @@ def test_replay_kernel_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 2**20
+
+
+# Values from a single 800-node rule, to their 6 decimals (ROADMAP item 1).
+@pytest.mark.parametrize(
+    "k1,m,eps,value",
+    [
+        (2, 1, EPSILON_3D, 0.061994),
+        (151, 10, 0.4, 0.140774),
+        (151, 120, 0.4, 0.246609),
+        (19, 5, 0.3, 0.106641),
+    ],
+)
+def test_rank_one_replay_value_matches_known_values(k1, m, eps, value):
+    assert expected_replay_forgetting_rank_one(k1, m, eps) == pytest.approx(value, abs=5e-7)
+
+
+@pytest.mark.parametrize(
+    "k1,m,eps",
+    [
+        (2, 1, EPSILON_3D),
+        (151, 10, 0.4),
+        (151, 120, 0.4),
+        (19, 5, 0.3),
+        (2999, 150, 0.4),  # d = 3000: the Beta weight is about 0.02 wide
+        (2999, 2998, 0.4),
+        (2999, 1, 1e-30),
+        (5, 4, 1e-150),
+        (40, 7, 0.95),
+    ],
+)
+def test_rank_one_replay_value_is_converged(monkeypatch, k1, m, eps):
+    # a rule with twice as many nodes per panel agrees to rounding
+    got = expected_replay_forgetting_rank_one(k1, m, eps)
+    monkeypatch.setattr(metrics, "_QUAD_NODES", 2 * metrics._QUAD_NODES)
+    finer = expected_replay_forgetting_rank_one(k1, m, eps)
+    assert got == pytest.approx(finer, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [0.9, 0.6, 0.3, EPSILON_3D, 1e-3, 1e-8, 1e-100])
+def test_rank_one_replay_value_in_3d_is_half_eps_times_no_replay(eps):
+    # in 3D one replayed row multiplies eps^2 (1 - eps^2) by exactly 1/(2 eps)
+    got = expected_replay_forgetting_rank_one(2, 1, eps)
+    assert got == pytest.approx(eps * (1.0 - eps**2) / 2.0, rel=1e-13, abs=0.0)
+
+
+def test_rank_one_replay_value_edges():
+    # a memory of k1 or more rows spans task 1
+    assert expected_replay_forgetting_rank_one(5, 5, 0.4) == 0.0
+    assert expected_replay_forgetting_rank_one(5, 9, 0.4) == 0.0
+    for k1, m, eps in ((5, 0, 0.4), (0, 1, 0.4), (5, 1, 0.0), (5, 1, 1.0), (5, 1, math.nan)):
+        with pytest.raises(InvalidParameters):
+            expected_replay_forgetting_rank_one(k1, m, eps)
 
 
 def test_replay_expectation_validates():
