@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import ConsistencyFailure, ContinualReplayError, InvalidParameters
 from .learner import (
+    SOLVERS,
     GdConfig,
     augment_with_replay,
     fit_closed_form,
@@ -119,17 +120,17 @@ def _projector_train_forgetting(seq: TaskSequence) -> float:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_worst_case(T: int, d: int, solver: str, seed: int) -> ExperimentResult:
+def cmd_worst_case(T: int, d: int, seed: int) -> ExperimentResult:
     """Worst-case sequence with and without single-sample replay.
 
-    Emits the empirical forgetting of the plain run, the run replaying the
-    mixed second-task row, and the run replaying the repeated row, next to
-    two analytic references: the stated closed forms 3a^2/(28(T-1)) and
-    9a^2/196, and an independent projector-cascade value computed from the
-    task spans alone. The command checks against the cascade (and the
-    stated no-replay form, which matches it); the stated replay constant is
-    emitted with its deviation column so the discrepancy stays visible.
-    The construction is deterministic; ``seed`` is only echoed.
+    Emits, for each solver lane, the empirical forgetting of the plain run,
+    the run replaying the mixed second-task row, and the run replaying the
+    repeated row, next to two analytic references: the stated closed forms
+    3a^2/(28(T-1)) and 9a^2/196, and an independent projector-cascade value
+    computed from the task spans alone. Each lane is checked against the
+    cascade (and the stated no-replay form, which matches it); the stated
+    replay constant is emitted with its deviation column so the discrepancy
+    stays visible. The construction is deterministic; ``seed`` is only echoed.
     """
     seq, (x2, y2) = make_worst_case(T, d)
     a_sq = 6.0 / 7.0  # default w* = v2
@@ -137,45 +138,39 @@ def cmd_worst_case(T: int, d: int, solver: str, seed: int) -> ExperimentResult:
     stated_replay = 9.0 * a_sq / 196.0
     tol = 1e-9
     mixed = seq.tasks[T - 2]  # rows x1, x2
-
-    def run(replayed: TaskSequence):
-        w = run_sequence(replayed, solver)
-        return w, forgetting_train(seq, w), _projector_train_forgetting(replayed)
-
-    w_plain, f_plain, proj_no = run(seq)
-    w_x2, f_x2, proj_x2 = run(augment_with_replay(seq, Task(x2[None], [y2])))
-    w_x1, f_x1, proj_x1 = run(augment_with_replay(seq, Task(mixed.X[:1], mixed.y[:1])))
-    drift_x1 = float(np.linalg.norm(w_x1 - w_plain))
-
-    _require(abs(f_plain - stated_no) <= tol, f"no-replay forgetting off: {f_plain}")
-    _require(abs(f_plain - proj_no) <= tol, "learner vs projector cascade (no replay)")
-    _require(abs(f_x2 - proj_x2) <= tol, "learner vs projector cascade (replay x2)")
-    _require(abs(f_x1 - proj_x1) <= tol, "learner vs projector cascade (replay x1)")
-    _require(drift_x1 <= tol, f"replaying the repeated row moved w_T by {drift_x1}")
-
+    variants = (
+        ("no_replay", seq, stated_no),
+        ("replay_x2", augment_with_replay(seq, Task(x2[None], [y2])), stated_replay),
+        ("replay_x1", augment_with_replay(seq, Task(mixed.X[:1], mixed.y[:1])), stated_no),
+    )
+    cascade = [_projector_train_forgetting(replayed) for _, replayed, _ in variants]
     rows = []
-    for variant, f, stated, proj, drift in (
-        ("no_replay", f_plain, stated_no, proj_no, 0.0),
-        ("replay_x2", f_x2, stated_replay, proj_x2, float(np.linalg.norm(w_x2 - w_plain))),
-        ("replay_x1", f_x1, stated_no, proj_x1, drift_x1),
-    ):
-        rows.append(
-            {
-                "variant": variant,
-                "forgetting": f,
-                "analytic_stated": stated,
-                "abs_dev_stated": abs(f - stated),
-                "analytic_projector": proj,
-                "abs_dev_projector": abs(f - proj),
-                "final_iterate_drift": drift,
-            }
-        )
+    for solver in SOLVERS:
+        ws = [run_sequence(replayed, solver) for _, replayed, _ in variants]
+        fs = [forgetting_train(seq, w) for w in ws]
+        drifts = [float(np.linalg.norm(w - ws[0])) for w in ws]
+        _require(abs(fs[0] - stated_no) <= tol, f"{solver}: no-replay forgetting off: {fs[0]}")
+        _require(drifts[2] <= tol, f"{solver}: replaying the repeated row moved w_T {drifts[2]}")
+        for (variant, _, stated), f, proj, drift in zip(variants, fs, cascade, drifts):
+            _require(abs(f - proj) <= tol, f"{solver}: learner vs projector cascade ({variant})")
+            rows.append(
+                {
+                    "variant": variant,
+                    "solver": solver,
+                    "forgetting": f,
+                    "analytic_stated": stated,
+                    "abs_dev_stated": abs(f - stated),
+                    "analytic_projector": proj,
+                    "abs_dev_projector": abs(f - proj),
+                    "final_iterate_drift": drift,
+                }
+            )
     analytic = {
         "a_sq": a_sq,
         "stated_no_replay": stated_no,
         "stated_replay_x2": stated_replay,
-        "projector_no_replay": proj_no,
-        "projector_replay_x2": proj_x2,
+        "projector_no_replay": cascade[0],
+        "projector_replay_x2": cascade[1],
     }
     return ExperimentResult(rows, analytic)
 
@@ -287,7 +282,7 @@ def cmd_replay_sweep(
     if max(m_list) > n1:
         raise InvalidParameters(f"m cannot exceed the {n1} stored first-task rows")
     values: dict[tuple[int, str], list[float]] = {
-        (m, solver): [] for m in m_list for solver in ("closed_form", "gd")
+        (m, solver): [] for m in m_list for solver in SOLVERS
     }
     residuals: dict[tuple[int, str], float] = {key: 0.0 for key in values}
     for i in range(trials):
@@ -297,7 +292,7 @@ def cmd_replay_sweep(
         seq = TaskSequence((t1, t2), w_star)
         for m in m_list:
             replayed = augment_with_replay(seq, select_replay(seq, m, rng))
-            for solver in ("closed_form", "gd"):
+            for solver in SOLVERS:
                 w2 = run_sequence(replayed, solver, _GD_SWEEP)
                 values[(m, solver)].append(_span_loss(s1, w2, w_star))
                 res = replayed.tasks[-1].residual(w2)  # the final task with its memory
@@ -305,7 +300,7 @@ def cmd_replay_sweep(
     rows = []
     for m in m_list:
         analytic = base if m == 0 else expected_replay_forgetting_rank_one(s1.rank, m, eps)
-        for solver in ("closed_form", "gd"):
+        for solver in SOLVERS:
             v = np.array(values[(m, solver)])
             mean = float(v.mean())
             se = float(v.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -328,45 +323,51 @@ def cmd_replay_sweep(
     return ExperimentResult(rows, analytic, resolved={"epsilon": eps, "trials": trials})
 
 
-def cmd_angle_sweep(d: int, solver: str, grid_points: int, seed: int) -> ExperimentResult:
+def cmd_angle_sweep(d: int, grid_points: int, seed: int) -> ExperimentResult:
     """Forgetting of two rank-(d-1) tasks vs the angle between their nulls.
 
     The tasks are built directly from basis rows (no sampling noise), so
-    the closed-form learner reproduces cos^2(theta) (1 - cos^2(theta))
-    to machine precision; the empirical argmax must land within one grid
-    step of pi/4. The construction is deterministic; ``seed`` is only echoed.
+    both solver lanes reproduce cos^2(theta) (1 - cos^2(theta)); in each
+    lane the empirical argmax must land within one grid step of pi/4. The
+    sidecar's argmax is the closed-form lane's. The construction is
+    deterministic; ``seed`` is only echoed.
     """
     if grid_points < 3:
         raise InvalidParameters("angle sweep needs at least 3 grid points")
     if d < 2:
         raise InvalidParameters(f"angle sweep needs d >= 2, got {d}")
     thetas = np.linspace(0.0, math.pi / 2.0, grid_points)
+    step = float(thetas[1] - thetas[0])
     w_star = np.eye(d)[:, 0]  # equals the first null direction a1
-    rows = []
+    cases = []
     for theta in thetas:
         s1, s2 = make_angle_pair(float(theta), d)
         t1 = Task(X=s1.basis.T, y=s1.basis.T @ w_star)
         t2 = Task(X=s2.basis.T, y=s2.basis.T @ w_star)
-        seq = TaskSequence((t1, t2), w_star)
-        emp = _span_loss(s1, run_sequence(seq, solver), w_star)
-        c2t = math.cos(theta) ** 2
-        analytic = c2t * (1.0 - c2t)
-        rows.append(
-            {
-                "theta": float(theta),
-                "empirical_forgetting": emp,
-                "analytic_forgetting": analytic,
-                "abs_dev": abs(emp - analytic),
-            }
+        cases.append((float(theta), s1, TaskSequence((t1, t2), w_star)))
+    rows = []
+    argmax_theta = {}
+    for solver in SOLVERS:
+        emps = [_span_loss(s1, run_sequence(seq, solver), w_star) for _, s1, seq in cases]
+        argmax_theta[solver] = cases[int(np.argmax(emps))][0]
+        _require(
+            abs(argmax_theta[solver] - math.pi / 4.0) <= step + 1e-12,
+            f"{solver}: peak at {argmax_theta[solver]}, expected pi/4 within one grid step",
         )
-    step = float(thetas[1] - thetas[0])
-    argmax_theta = float(thetas[int(np.argmax([r["empirical_forgetting"] for r in rows]))])
-    _require(
-        abs(argmax_theta - math.pi / 4.0) <= step + 1e-12,
-        f"peak at {argmax_theta}, expected pi/4 within one grid step",
-    )
+        for (theta, _, _), emp in zip(cases, emps):
+            c2t = math.cos(theta) ** 2
+            analytic = c2t * (1.0 - c2t)
+            rows.append(
+                {
+                    "theta": theta,
+                    "empirical_forgetting": emp,
+                    "analytic_forgetting": analytic,
+                    "abs_dev": abs(emp - analytic),
+                    "solver": solver,
+                }
+            )
     analytic = {
-        "argmax_theta": argmax_theta,
+        "argmax_theta": argmax_theta["closed_form"],
         "grid_step": step,
         "peak_value": 0.25,
     }
@@ -513,13 +514,6 @@ _FLAGS = {
     "m": ("--m", {"help": "replay size"}),
     "m_list": ("--m", {"help": "replay sizes, comma separated"}),
     "trials": ("--trials", {"type": int}),
-    "solver": (
-        "--solver",
-        {
-            "choices": ("closed", "gd"),
-            "help": "closed-form minimum-norm updates or gradient descent",
-        },
-    ),
     "grid_points": ("--grid-points", {"type": int, "help": "grid resolution on [0, pi/2]"}),
 }
 
@@ -542,7 +536,7 @@ _COMMANDS = {
             "variant", "T", "d", "solver", "forgetting", "analytic_stated", "abs_dev_stated",
             "analytic_projector", "abs_dev_projector", "final_iterate_drift", "seed",
         ),
-        {"T": 10, "d": 3, "solver": "closed"},
+        {"T": 10, "d": 3},
     ),
     "avg-case-3d": Command(
         1,
@@ -578,7 +572,7 @@ _COMMANDS = {
         4,
         "forgetting vs angle between task null spaces",
         ("theta", "empirical_forgetting", "analytic_forgetting", "abs_dev", "solver", "seed"),
-        {"d": 3, "solver": "closed", "grid_points": 91},
+        {"d": 3, "grid_points": 91},
     ),
     "benign-check": Command(
         5,
@@ -631,8 +625,6 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     if args.seed < 0:
         raise InvalidParameters("seed must be a non-negative integer")
     params["seed"] = args.seed
-    if "solver" in params:
-        params["solver"] = "closed_form" if params["solver"] == "closed" else "gd"
     if "m" in params:
         params["m"] = _single_m(_parse_m_list(params["m"]))
     if "m_list" in params:

@@ -25,6 +25,10 @@ from .errors import DimensionMismatch, InvalidParameters, NotConverged
 from .linalg_core import as_vector, min_norm_solve
 from .task_gen import Task, TaskSequence
 
+# The solver lanes, in the order every learner command reports them; the
+# strings are the values of the CLI's per-row solver column.
+SOLVERS = ("closed_form", "gd")
+
 
 @dataclass(frozen=True)
 class GdConfig:
@@ -135,9 +139,9 @@ def run_sequence(
     """Train on the tasks in order from the all-zero vector; return the final w.
 
     Args:
-        solver: "closed_form" or "gd".
+        solver: one of ``SOLVERS``.
     """
-    if solver not in ("closed_form", "gd"):
+    if solver not in SOLVERS:
         raise InvalidParameters(f"unknown solver {solver!r}")
     w = np.zeros(seq.ambient_dim)
     for task in seq.tasks:

@@ -64,8 +64,8 @@ def forgetting_test_mean(
     under ``sample_task``'s law and averages the squared residuals of w.
     Vectorized: a fresh row W z contributes (z . W^T(w - w*))^2, so each
     draw's loss is ||Z_t c_t||^2 with c_t = W_t^T (w - w*) and Z_t a
-    k_t x k_t matrix of N(0, 1/k_t) entries. Returns the mean, its standard
-    error, and the trial count.
+    k_t x k_t matrix of N(0, 1/k_t) entries. Returns {"mean", "std_err"} of
+    the per-draw values.
     """
     T = len(subspaces)
     if T < 2:
@@ -88,7 +88,7 @@ def forgetting_test_mean(
         done += size
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return {"mean": mean, "std_err": std_err, "trials": trials}
+    return {"mean": mean, "std_err": std_err}
 
 
 def expected_forgetting_closed_form(subspaces: list[Subspace], w_star) -> float:
@@ -204,7 +204,7 @@ def expected_replay_forgetting_two_tasks(
     never shows in the output.
 
     Returns:
-        {"mean", "std_err", "trials"} of the per-trial values.
+        {"mean", "std_err"} of the per-trial values.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("task subspaces live in different dimensions")
@@ -237,7 +237,7 @@ def expected_replay_forgetting_two_tasks(
         values[start : start + size] = _replay_values(H, m, SVt, C0tC0, c)
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return {"mean": mean, "std_err": std_err, "trials": trials}
+    return {"mean": mean, "std_err": std_err}
 
 
 def expected_replay_forgetting_rank_one(k1: int, m: int, epsilon: float) -> float:

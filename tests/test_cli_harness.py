@@ -12,12 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import continual_replay
-from continual_replay import cli_harness
+from continual_replay import cli_harness, learner
 from continual_replay.cli_harness import _COMMANDS, _check_highdim_constraints, main
 from continual_replay.errors import ConsistencyFailure, InvalidParameters, NotConverged
 from continual_replay.metrics import expected_replay_forgetting_rank_one
@@ -32,16 +33,26 @@ def test_worst_case_writes_csv_and_sidecar(tmp_path):
     out = tmp_path / "wc.csv"
     assert main(["worst-case", "--T", "5", "--out", str(out)]) == 0
     rows = _read_csv(out)
-    assert [r["variant"] for r in rows] == ["no_replay", "replay_x2", "replay_x1"]
+    # closed-form lane, then gradient-descent lane, each gated on its own
+    assert [(r["solver"], r["variant"]) for r in rows] == [
+        (solver, variant)
+        for solver in ("closed_form", "gd")
+        for variant in ("no_replay", "replay_x2", "replay_x1")
+    ]
     for r in rows:
         assert abs(float(r["forgetting"]) - float(r["analytic_projector"])) <= 1e-9
-    # the stated replay constant disagrees with what the dynamics produce;
-    # the deviation column keeps that visible instead of hiding it
-    assert float(rows[1]["abs_dev_stated"]) > 0.1
-    assert float(rows[2]["final_iterate_drift"]) <= 1e-9
+    for lane in (rows[:3], rows[3:]):
+        # the stated replay constant disagrees with what the dynamics produce;
+        # the deviation column keeps that visible instead of hiding it
+        assert float(lane[1]["abs_dev_stated"]) > 0.1
+        assert float(lane[2]["final_iterate_drift"]) <= 1e-9
+    # one solver-free cascade serves both lanes
+    assert [r["analytic_projector"] for r in rows[:3]] == [
+        r["analytic_projector"] for r in rows[3:]
+    ]
     sidecar = json.loads((tmp_path / "wc.config.json").read_text())
     assert sidecar["command"] == "worst-case"
-    assert sidecar["params"]["T"] == 5
+    assert sidecar["params"] == {"T": 5, "d": 3, "seed": 42}
     assert "projector_replay_x2" in sidecar["analytic_predictions"]
     assert sidecar["version"]
 
@@ -108,6 +119,9 @@ def test_replay_sweep_rejects_repeated_size(capsys):
         ["avg-case-3d", "--d", "5"],
         ["replay-sweep", "--solver", "gd"],
         ["benign-check", "--grid-points", "5"],
+        # both learner commands always report both solver lanes
+        ["worst-case", "--solver", "gd"],
+        ["angle-sweep", "--solver", "closed"],
     ],
 )
 def test_flag_the_command_does_not_read_exits_2(argv, capsys):
@@ -118,7 +132,14 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["worst-case", "--d", "x"], ["oracles", "--d", "5"], ["--bogus"], []]
+    "argv",
+    [
+        ["worst-case", "--d", "x"],
+        ["oracles", "--d", "5"],
+        ["--bogus"],
+        [],
+        ["worst-case", "--solver", "closed"],
+    ],
 )
 def test_usage_error_prints_one_line(argv, capsys):
     # a bad type, a flag the command does not read, no command at all
@@ -165,6 +186,20 @@ def test_other_library_errors_exit_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "NotConverged: forced" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["worst-case"], ["angle-sweep", "--grid-points", "7"]])
+def test_fault_in_gd_lane_only_exits_3(argv, monkeypatch, capsys):
+    # the closed-form lane passes its gates; the gradient-descent lane, which
+    # returns the starting point, must fail its own
+    def run_sequence(seq, solver="closed_form", *rest):
+        w = learner.run_sequence(seq, solver, *rest)
+        return w if solver == "closed_form" else np.zeros_like(w)
+
+    monkeypatch.setattr(cli_harness, "run_sequence", run_sequence)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("assertion failed: gd: ") and err.count("\n") == 1, err
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
@@ -289,7 +324,7 @@ def test_reruns_are_bit_identical(tmp_path):
     for argv in (
         ["replay-sweep", "--d", "3", "--m", "0,1,2", "--trials", "5", "--seed", "7"],
         ["benign-check", "--d", "5", "--trials", "20", "--seed", "7"],
-        ["worst-case", "--T", "10", "--d", "5", "--solver", "gd"],
+        ["worst-case", "--T", "10", "--d", "5"],
         ["oracles", "--trials", "10000", "--seed", "7"],
     ):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -390,10 +425,14 @@ def test_angle_sweep_grid(tmp_path):
     out = tmp_path / "angles.csv"
     assert main(["angle-sweep", "--d", "4", "--grid-points", "31", "--out", str(out)]) == 0
     rows = _read_csv(out)
-    assert len(rows) == 31
+    assert [r["solver"] for r in rows] == ["closed_form"] * 31 + ["gd"] * 31
     assert all(float(r["abs_dev"]) <= 1e-8 for r in rows)
-    best = max(rows, key=lambda r: float(r["empirical_forgetting"]))
-    assert abs(float(best["theta"]) - math.pi / 4.0) <= math.pi / 60.0 + 1e-12
+    for lane in (rows[:31], rows[31:]):
+        assert [r["theta"] for r in lane] == [r["theta"] for r in rows[:31]]
+        best = max(lane, key=lambda r: float(r["empirical_forgetting"]))
+        assert abs(float(best["theta"]) - math.pi / 4.0) <= math.pi / 60.0 + 1e-12
+    sidecar = json.loads((tmp_path / "angles.config.json").read_text())
+    assert sidecar["params"] == {"d": 4, "grid_points": 31, "seed": 42}
 
 
 def test_avg_case_3d_report(tmp_path):

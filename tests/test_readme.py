@@ -1,4 +1,5 @@
-"""The README's library example runs and prints the values its comments state."""
+"""The README's library example runs and prints the values its comments state,
+and its flag table matches the parser."""
 
 import contextlib
 import io
@@ -6,6 +7,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from continual_replay.cli_harness import _COMMANDS, _FLAGS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +23,14 @@ def test_readme_library_example():
     a_sq, T = 6.0 / 7.0, 10
     assert plain == pytest.approx(3.0 * a_sq / (28.0 * (T - 1)), abs=1e-12)
     assert replayed == pytest.approx(3.0 * a_sq / 14.0, abs=1e-12)
+
+
+def test_readme_flag_table_lists_each_commands_flags():
+    # every command's row names exactly the options its parser takes
+    text = README.read_text()
+    table = text[text.index("| command | flags (defaults) |") :].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table, flags=re.M))
+    assert sorted(rows) == sorted(_COMMANDS)
+    for command, cell in rows.items():
+        expected = {_FLAGS[key][0] for key in _COMMANDS[command].flags}
+        assert set(re.findall(r"`(--[\w-]+)`", cell)) == expected, command
