@@ -97,7 +97,9 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _span_loss(s1: Subspace, w: np.ndarray, w_star: np.ndarray) -> float:
-    # E_x[(x.(w - w*))^2] over the task's sampling law = ||Pi_1 (w - w*)||^2
+    # Summed over k1 fresh rows x under sample_task's law (the fresh-sample
+    # loss of forgetting_test_mean), E[(x.(w - w*))^2] = ||Pi_1 (w - w*)||^2;
+    # one row gives 1/k1 of it.
     return float(np.sum((s1.basis.T @ (w - w_star)) ** 2))
 
 
@@ -132,7 +134,7 @@ def cmd_worst_case(T: int, d: int, seed: int) -> ExperimentResult:
     replay constant is emitted with its deviation column so the discrepancy
     stays visible. The construction is deterministic; ``seed`` is only echoed.
     """
-    seq, (x2, y2) = make_worst_case(T, d)
+    seq = make_worst_case(T, d)
     a_sq = 6.0 / 7.0  # default w* = v2
     stated_no = 3.0 * a_sq / (28.0 * (T - 1))
     stated_replay = 9.0 * a_sq / 196.0
@@ -140,7 +142,7 @@ def cmd_worst_case(T: int, d: int, seed: int) -> ExperimentResult:
     mixed = seq.tasks[T - 2]  # rows x1, x2
     variants = (
         ("no_replay", seq, stated_no),
-        ("replay_x2", augment_with_replay(seq, Task(x2[None], [y2])), stated_replay),
+        ("replay_x2", augment_with_replay(seq, Task(mixed.X[1:], mixed.y[1:])), stated_replay),
         ("replay_x1", augment_with_replay(seq, Task(mixed.X[:1], mixed.y[:1])), stated_no),
     )
     cascade = [_projector_train_forgetting(replayed) for _, replayed, _ in variants]
@@ -219,6 +221,8 @@ def cmd_avg_case_3d(epsilon: float, m: int, trials: int, seed: int) -> Experimen
 
 
 def _check_highdim_constraints(d: int, m: int, epsilon: float) -> None:
+    if m < 1:
+        raise InvalidParameters(f"replay size must be >= 1, got {m}")
     if not C1 < d:
         raise InvalidParameters(f"requires c1 < d: {C1} >= {d}")
     if not C2 * m < d - 1:
@@ -466,7 +470,6 @@ def cmd_oracles(trials: int, seed: int) -> ExperimentResult:
             bound_or_expected=1e-8,
             passed=bool(worst <= 1e-8),
             trials=100,
-            seed=seed,
         )
     )
     verdicts.append(oracle_claim_c2(trials, seed))
@@ -480,7 +483,6 @@ def cmd_oracles(trials: int, seed: int) -> ExperimentResult:
             "bound": v.bound_or_expected,
             "pass": v.passed,
             "trials": v.trials,
-            "seed": v.seed,
         }
         for v in verdicts
     ]
@@ -511,7 +513,7 @@ _FLAGS = {
     "T": ("--T", {"type": int}),
     "d": ("--d", {"type": int}),
     "epsilon": ("--epsilon", {"type": float}),
-    "m": ("--m", {"help": "replay size"}),
+    "m": ("--m", {"type": int, "help": "replay size"}),
     "m_list": ("--m", {"help": "replay sizes, comma separated"}),
     "trials": ("--trials", {"type": int}),
     "grid_points": ("--grid-points", {"type": int, "help": "grid resolution on [0, pi/2]"}),
@@ -546,7 +548,7 @@ _COMMANDS = {
             "no_replay_analytic", "ratio", "ratio_std_err", "bound", "abs_dev_bound",
             "meets_bound_3sigma", "exceeds_one_3sigma", "seed",
         ),
-        {"epsilon": EPSILON_3D, "m": "1", "trials": 10**5},
+        {"epsilon": EPSILON_3D, "m": 1, "trials": 10**5},
     ),
     "avg-case-highdim": Command(
         2,
@@ -556,7 +558,7 @@ _COMMANDS = {
             "no_replay_analytic", "mean_minus_3se", "abs_dev_no_replay",
             "exceeds_no_replay_3sigma", "seed",
         ),
-        {"d": 152, "epsilon": 0.4, "m": "10", "trials": 10**4},
+        {"d": 152, "epsilon": 0.4, "m": 10, "trials": 10**4},
     ),
     "replay-sweep": Command(
         3,
@@ -625,19 +627,9 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     if args.seed < 0:
         raise InvalidParameters("seed must be a non-negative integer")
     params["seed"] = args.seed
-    if "m" in params:
-        params["m"] = _single_m(_parse_m_list(params["m"]))
     if "m_list" in params:
         params["m_list"] = _parse_m_list(params["m_list"])
     return params
-
-
-def _single_m(m_list: list[int]) -> int:
-    if len(m_list) != 1:
-        raise InvalidParameters("this command takes a single --m value")
-    if m_list[0] < 1:
-        raise InvalidParameters("replay size must be >= 1 here")
-    return m_list[0]
 
 
 def _sidecar_path(out: str) -> str:

@@ -38,8 +38,11 @@ _REPLAY_CHUNK = 4096
 _REPLAY_CHUNK_ENTRIES = 2**16
 # Gauss-Legendre nodes per panel of the exact rank-one replay value.
 _QUAD_NODES = 32
-# Draws per vectorized block in forgetting_test_mean.
+# Draws per block in forgetting_test_mean; the block decides which normals
+# go to which task. Each task's part of a block is drawn in pieces of at most
+# _TEST_PIECE_ENTRIES normals (512 KB), which never shows in the output.
 _TEST_CHUNK = 20000
+_TEST_PIECE_ENTRIES = 2**16
 
 
 def forgetting_train(seq: TaskSequence, w) -> float:
@@ -61,9 +64,10 @@ def forgetting_test_mean(
     """Monte Carlo mean of fresh-sample forgetting over many independent draws.
 
     Each draw takes k_t new rows from each of the first T-1 task subspaces
-    under ``sample_task``'s law and averages the squared residuals of w.
-    Vectorized: a fresh row W z contributes (z . W^T(w - w*))^2, so each
-    draw's loss is ||Z_t c_t||^2 with c_t = W_t^T (w - w*) and Z_t a
+    under ``sample_task``'s law, sums the squared residuals of w over each
+    task's k_t rows, and averages those sums over the tasks.
+    Vectorized: a fresh row W z contributes (z . W^T(w - w*))^2, so a task's
+    sum is ||Z_t c_t||^2 with c_t = W_t^T (w - w*) and Z_t a
     k_t x k_t matrix of N(0, 1/k_t) entries. Returns {"mean", "std_err"} of
     the per-draw values.
     """
@@ -77,15 +81,14 @@ def forgetting_test_mean(
     delta = w - w_star
     coords = [(s.basis.T @ delta, s.rank) for s in subspaces[:-1]]
     values = np.zeros(trials)
-    done = 0
-    while done < trials:
-        size = min(_TEST_CHUNK, trials - done)
-        total = np.zeros(size)
+    for start in range(0, trials, _TEST_CHUNK):
+        block = values[start : start + _TEST_CHUNK]
         for c, k in coords:
-            Z = rng.standard_normal((size, k, k)) / math.sqrt(k)
-            total += np.sum(np.einsum("ijk,k->ij", Z, c) ** 2, axis=1)
-        values[done : done + size] = total / (T - 1)
-        done += size
+            rows = max(1, _TEST_PIECE_ENTRIES // max(1, k * k))
+            for lo in range(0, block.size, rows):
+                Z = rng.standard_normal((min(rows, block.size - lo), k, k)) / math.sqrt(k)
+                block[lo : lo + rows] += np.sum(np.einsum("ijk,k->ij", Z, c) ** 2, axis=1)
+        block /= T - 1
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return {"mean": mean, "std_err": std_err}

@@ -42,7 +42,6 @@ class OracleVerdict:
     bound_or_expected: float
     passed: bool
     trials: int
-    seed: int
 
 
 def oracle_min_norm(X, y, w_prev) -> np.ndarray:
@@ -128,7 +127,6 @@ def oracle_claim_c2(trials: int, seed: int) -> OracleVerdict:
         bound_or_expected=CLAIM_C2_BOUND,
         passed=bool(mean + 3.0 * std_err >= CLAIM_C2_BOUND),
         trials=trials,
-        seed=seed,
     )
 
 
@@ -214,7 +212,6 @@ def oracle_random_projection_tails(
                 bound_or_expected=bound,
                 passed=binomial_upper_tail(trials, bound, count) >= TAIL_FALSE_ALARM,
                 trials=trials,
-                seed=seed,
             )
         )
     return verdicts
@@ -253,7 +250,6 @@ def oracle_projector_sandwich(
         bound_or_expected=0.0,
         passed=bool(worst >= -1e-10),
         trials=trials,
-        seed=seed,
     )
 
 

@@ -103,22 +103,20 @@ def _unit_filler(basis_tail: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return row / np.linalg.norm(row)
 
 
-def make_worst_case(T: int, d: int) -> tuple[TaskSequence, tuple[np.ndarray, float]]:
+def make_worst_case(T: int, d: int) -> TaskSequence:
     """The three-vector sequence whose forgetting does not fade with T.
 
     Tasks 1..T-2 constrain x1 (plus, for d > 3, one random unit filler row
     inside span{v4..vd} each, drawn from a fixed ``default_rng(0)`` stream);
     task T-1 constrains x1 and x2; the final task constrains x3 together
-    with rows spanning span{v4..vd}. All rows have unit norm. The target is w* = v2, whose component along the forgotten
-    direction u = sqrt(6/7) v2 - sqrt(1/7) v3 is a = sqrt(6/7). The
-    designated replay sample is (x2, x2.w*).
+    with rows spanning span{v4..vd}. All rows have unit norm. The target
+    is w* = v2, whose component along the forgotten direction
+    u = sqrt(6/7) v2 - sqrt(1/7) v3 is a = sqrt(6/7). The designated replay
+    sample is x2, row 1 of task T-1, with its label.
 
     Args:
         T: number of tasks, at least 2.
         d: ambient dimension, at least 3.
-
-    Returns:
-        (sequence, (x2, y2)) where (x2, y2) is the replay sample.
     """
     if d < 3:
         raise InvalidParameters(f"worst case needs d >= 3, got {d}")
@@ -147,8 +145,7 @@ def make_worst_case(T: int, d: int) -> tuple[TaskSequence, tuple[np.ndarray, flo
     X_fin = np.vstack(final_rows)
     tasks.append(Task(X_fin, X_fin @ w_star))
 
-    seq = TaskSequence(tuple(tasks), w_star)
-    return seq, (x2.copy(), float(x2 @ w_star))
+    return TaskSequence(tuple(tasks), w_star)
 
 
 def make_avg_case_highdim(d: int, epsilon: float) -> tuple[Subspace, Subspace, np.ndarray]:

@@ -60,7 +60,7 @@ def _replay_row(seq: TaskSequence, row: int) -> TaskSequence:
 
 
 def _worst_case_forgetting(T: int, replay_row: int | None) -> float:
-    seq, _ = make_worst_case(T, 3)
+    seq = make_worst_case(T, 3)
     replayed = seq if replay_row is None else _replay_row(seq, replay_row)
     return forgetting_train(seq, run_sequence(replayed))
 
@@ -103,7 +103,7 @@ def test_criterion_02_scaling_in_T(criterion):
 
 def test_criterion_03_replay_of_x1_is_neutral(criterion):
     T = 10
-    seq, _ = make_worst_case(T, 3)
+    seq = make_worst_case(T, 3)
     w_plain = run_sequence(seq)
     w_x1 = run_sequence(_replay_row(seq, 0))
     drift = float(np.linalg.norm(w_x1 - w_plain))

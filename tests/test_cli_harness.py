@@ -73,7 +73,7 @@ def test_worst_case_stdout(capsys):
         ["worst-case", "--seed", "-1"],
         ["replay-sweep", "--m", "1,x"],
         ["replay-sweep", "--m", "9", "--trials", "5"],
-        ["avg-case-3d", "--m", "1,2"],
+        ["avg-case-highdim", "--m", "0"],
         ["avg-case-3d", "--trials", "10"],
         ["avg-case-highdim", "--d", "100"],
         ["oracles", "--trials", "100"],
@@ -84,6 +84,9 @@ def test_worst_case_stdout(capsys):
         ["avg-case-3d", "--epsilon", "1e-200", "--trials", "1000"],
         ["avg-case-highdim", "--epsilon", "1e-200", "--trials", "10"],
         ["replay-sweep", "--d", "5", "--epsilon", "1e-200", "--trials", "3"],
+        # m < 1; avg-case-highdim checks it before its constraints take log(m)
+        ["avg-case-highdim", "--m", "-1"],
+        ["avg-case-3d", "--m", "0"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
@@ -139,6 +142,9 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
         ["--bogus"],
         [],
         ["worst-case", "--solver", "closed"],
+        # the avg-case commands take one integer --m
+        ["avg-case-3d", "--m", "1,2"],
+        ["avg-case-highdim", "--m", ""],
     ],
 )
 def test_usage_error_prints_one_line(argv, capsys):
@@ -157,12 +163,13 @@ def test_highdim_constraints_hold(d, m):
     _check_highdim_constraints(d, m, 0.4)
 
 
-@pytest.mark.parametrize("d, m", [(100, 10), (152, 11), (152, 2)])
+@pytest.mark.parametrize("d, m", [(100, 10), (152, 11), (152, 2), (152, 0)])
 def test_highdim_constraints_violated(d, m):
     violated = {
         (100, 10): "requires c1 < d",
         (152, 11): r"requires c2\*m < d-1",
         (152, 2): "requires d-1 < exp",
+        (152, 0): "replay size must be >= 1",
     }[(d, m)]
     with pytest.raises(InvalidParameters, match=violated):
         _check_highdim_constraints(d, m, 0.4)
@@ -524,7 +531,7 @@ def test_subcommand_help_documents_columns(capsys):
 
 def test_parameter_columns_echo_the_sidecar(tmp_path):
     # a CSV column named after a param holds the sidecar's value in every
-    # row; oracles rows carry each verdict's own trial count and seed
+    # row; oracles rows carry each verdict's own trial count
     for command, argv in SMALL_RUNS.items():
         out = tmp_path / f"{command}.csv"
         assert main([command, *argv, "--out", str(out)]) == 0
@@ -533,7 +540,7 @@ def test_parameter_columns_echo_the_sidecar(tmp_path):
         echoed = [key for key in rows[0] if key in params]
         if command == "oracles":
             assert echoed == ["trials", "seed"]
-            continue
+            echoed = ["seed"]
         assert echoed, command
         for row in rows:
             assert {key: row[key] for key in echoed} == {

@@ -241,7 +241,7 @@ def test_run_sequence_histories_and_fixed_point():
 
 
 def test_run_sequence_full_span_replay_recovers_w_star():
-    seq, _ = make_worst_case(3, 3)
+    seq = make_worst_case(3, 3)
     # both rows of the mixed task plus the final task span all of R^3
     mixed = seq.tasks[1]
     w = run_sequence(augment_with_replay(seq, Task(X=mixed.X, y=mixed.y)))

@@ -42,7 +42,7 @@ A_SQ = 6.0 / 7.0  # squared alignment of the default worst-case w*
 
 
 def test_forgetting_train_requires_two_tasks():
-    seq, _ = make_worst_case(2, 3)
+    seq = make_worst_case(2, 3)
     with pytest.raises(TooFewTasks):
         forgetting_train(
             type(seq)((seq.tasks[0],), seq.w_star), seq.w_star
@@ -54,7 +54,7 @@ def test_forgetting_train_requires_two_tasks():
 
 @pytest.mark.parametrize("T", [2, 3, 5, 10])
 def test_worst_case_no_replay_constant(T):
-    seq, _ = make_worst_case(T, 3)
+    seq = make_worst_case(T, 3)
     f = forgetting_train(seq, run_sequence(seq))
     assert f == pytest.approx(3.0 * A_SQ / (28.0 * (T - 1)), abs=1e-12)
 
@@ -64,12 +64,14 @@ def test_worst_case_no_replay_constant(T):
 def test_worst_case_replay_matches_projector_route(T, d):
     # dual-route check: the simulated replay run must match the value
     # obtained purely from projector algebra on the augmented final span
-    seq, (x2, y2) = make_worst_case(T, d)
-    f = forgetting_train(seq, run_sequence(augment_with_replay(seq, Task(x2[None], [y2]))))
+    seq = make_worst_case(T, d)
+    mixed = seq.tasks[T - 2]  # rows x1, x2
+    replayed = augment_with_replay(seq, Task(mixed.X[1:], mixed.y[1:]))
+    f = forgetting_train(seq, run_sequence(replayed))
 
     r = seq.w_star.copy()
     for t, task in enumerate(seq.tasks):
-        X = task.X if t < T - 1 else np.vstack([task.X, x2])
+        X = task.X if t < T - 1 else np.vstack([task.X, mixed.X[1:]])
         s = orthonormal_basis(X)
         r = r - s.basis @ (s.basis.T @ r)
     expect = float(
@@ -81,7 +83,7 @@ def test_worst_case_replay_matches_projector_route(T, d):
 
 
 def test_worst_case_rotation_invariance():
-    base, _ = make_worst_case(4, 5)
+    base = make_worst_case(4, 5)
     # a Haar rotation of every row and of w*: QR with the sign correction
     q, r = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
     Q = q * np.sign(np.diag(r))
@@ -108,6 +110,21 @@ def test_forgetting_test_mean_matches_closed_form():
     # at w = w* no fresh sample sees a residual
     at_star = forgetting_test_mean(subs, w_star, w_star, 100, np.random.default_rng(0))
     assert at_star["mean"] <= 1e-20
+
+
+def test_forgetting_test_mean_working_set_is_bounded():
+    # One 2000 x 40 x 40 block of normals would take 25.6 MB; pieces of
+    # _TEST_PIECE_ENTRIES normals keep the peak near 1 MiB.
+    rng = np.random.default_rng(0)
+    subs = [orthonormal_basis(rng.standard_normal((k, 41))) for k in (40, 1)]
+    w, w_star = rng.standard_normal(41), rng.standard_normal(41)
+    tracemalloc.start()
+    try:
+        forgetting_test_mean(subs, w, w_star, 2000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 def run_sequence_from(subs, w_star):
@@ -406,19 +423,28 @@ def test_replay_kernel_output_independent_of_chunk_size(monkeypatch, case, m):
 
 
 def test_replay_kernel_working_set_is_bounded():
-    # numpy reports its buffers to tracemalloc; both cases peak near 1.6 MiB.
-    # Chunks kept alive into the next one peak at 5.0 MiB at d = 152, and
-    # 3D chunks without the _REPLAY_CHUNK trial cap at 3.55 MiB.
-    for d, eps, m, trials in ((152, 0.4, 10, 6000), (3, EPSILON_3D, 1, 10**5)):
+    # numpy reports its buffers to tracemalloc. The first call's peak holds
+    # one-time allocations, so the second call's is read. At d = 152 it is
+    # 1.57 MiB, about three of one chunk's 434 x 151 arrays (0.5 MiB each);
+    # the chunk loop with _replay_values inlined keeps a chunk's arrays alive
+    # into the next and peaks at 2.55 MiB. The 3D case peaks near 1.6 MiB,
+    # and 3D chunks without the _REPLAY_CHUNK trial cap at 3.55 MiB.
+    k1 = 151
+    chunk_array = metrics._REPLAY_CHUNK_ENTRIES // k1 * k1 * 8
+    for d, eps, m, trials, bound in (
+        (152, 0.4, 10, 6000, 4 * chunk_array),
+        (3, EPSILON_3D, 1, 10**5, 3 * 2**20),
+    ):
         s1, s2, w_star = make_avg_case_highdim(d, eps)
-        rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 2**20, (d, peak)
+        for _ in range(2):
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= bound, (d, peak)
 
 
 # Values from a single 800-node rule, to their 6 decimals (ROADMAP item 1).

@@ -22,7 +22,7 @@ from continual_replay.task_gen import (
 
 @pytest.mark.parametrize("T,d", [(2, 3), (3, 3), (10, 3), (5, 6)])
 def test_worst_case_structure(T, d):
-    seq, (x2, y2) = make_worst_case(T, d)
+    seq = make_worst_case(T, d)
     assert len(seq) == T
     assert seq.ambient_dim == d
     for task in seq.tasks:
@@ -30,11 +30,12 @@ def test_worst_case_structure(T, d):
             np.linalg.norm(task.X, axis=1), np.ones(task.n_samples), atol=1e-12
         )
         assert task.residual(seq.w_star) <= 1e-9
-    # the replay sample is the second row of the mixed task
-    np.testing.assert_allclose(seq.tasks[T - 2].X[1], x2, atol=1e-15)
-    np.testing.assert_allclose(x2 @ seq.w_star, y2, atol=1e-12)
+    # the mixed task holds the repeated row x1 and the replay sample x2
+    x1, x2 = seq.tasks[T - 2].X
+    want_x2 = np.zeros(d)
+    want_x2[:3] = (1.0 / (2.0 * math.sqrt(2.0)),) * 2 + (math.sqrt(3.0) / 2.0,)
+    np.testing.assert_allclose(x2, want_x2, atol=1e-15)
     # the repeated row shows up in every early task and the mixed one
-    x1 = seq.tasks[T - 2].X[0]
     for t in range(T - 2):
         assert any(
             np.allclose(row, x1, atol=1e-12) for row in seq.tasks[t].X
@@ -53,7 +54,7 @@ def test_worst_case_errors():
 
 
 def test_worst_case_final_task_spans_complement():
-    seq, _ = make_worst_case(4, 6)
+    seq = make_worst_case(4, 6)
     last = seq.tasks[-1]
     assert last.n_samples == 6 - 2
     s = orthonormal_basis(last.X)
