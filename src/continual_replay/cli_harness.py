@@ -86,7 +86,8 @@ class ExperimentResult:
 
 
 def _stream(seed: int, command: str, *extra: int) -> np.random.Generator:
-    # Sub-streams are derived from (seed, command id, trial index).
+    # The one place a run's --seed becomes random numbers, as sub-streams of
+    # (seed, command id, index). Index 0 is no index: SeedSequence pads with 0s.
     return np.random.default_rng([seed, _COMMANDS[command].stream, *extra])
 
 
@@ -122,7 +123,7 @@ def _projector_train_forgetting(seq: TaskSequence) -> float:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_worst_case(T: int, d: int, seed: int) -> ExperimentResult:
+def cmd_worst_case(T: int, d: int) -> ExperimentResult:
     """Worst-case sequence with and without single-sample replay.
 
     Emits, for each solver lane, the empirical forgetting of the plain run,
@@ -132,7 +133,7 @@ def cmd_worst_case(T: int, d: int, seed: int) -> ExperimentResult:
     computed from the task spans alone. Each lane is checked against the
     cascade (and the stated no-replay form, which matches it); the stated
     replay constant is emitted with its deviation column so the discrepancy
-    stays visible. The construction is deterministic; ``seed`` is only echoed.
+    stays visible. The construction is fixed, so the command takes no seed.
     """
     seq = make_worst_case(T, d)
     a_sq = 6.0 / 7.0  # default w* = v2
@@ -327,14 +328,14 @@ def cmd_replay_sweep(
     return ExperimentResult(rows, analytic, resolved={"epsilon": eps, "trials": trials})
 
 
-def cmd_angle_sweep(d: int, grid_points: int, seed: int) -> ExperimentResult:
+def cmd_angle_sweep(d: int, grid_points: int) -> ExperimentResult:
     """Forgetting of two rank-(d-1) tasks vs the angle between their nulls.
 
     The tasks are built directly from basis rows (no sampling noise), so
     both solver lanes reproduce cos^2(theta) (1 - cos^2(theta)); in each
     lane the empirical argmax must land within one grid step of pi/4. The
-    sidecar's argmax is the closed-form lane's. The construction is
-    deterministic; ``seed`` is only echoed.
+    sidecar's argmax is the closed-form lane's. The construction draws
+    nothing, so the command takes no seed.
     """
     if grid_points < 3:
         raise InvalidParameters("angle sweep needs at least 3 grid points")
@@ -448,7 +449,11 @@ def cmd_benign_check(d: int, trials: int, seed: int) -> ExperimentResult:
 
 
 def cmd_oracles(trials: int, seed: int) -> ExperimentResult:
-    """Run every oracle and emit one verdict row per check."""
+    """Run every oracle and emit one verdict row per check.
+
+    The KKT crosscheck draws from the command's stream, each Gaussian oracle
+    from its own sub-stream 1 to 4, so no two start on the same normals.
+    """
     if trials < 10**4:
         raise InvalidParameters("oracle runs need trials >= 10^4")
     rng = _stream(seed, "oracles")
@@ -472,10 +477,10 @@ def cmd_oracles(trials: int, seed: int) -> ExperimentResult:
             trials=100,
         )
     )
-    verdicts.append(oracle_claim_c2(trials, seed))
-    for d_m in ((152, 10), (31, 5)):
-        verdicts.extend(oracle_random_projection_tails(*d_m, trials, seed))
-    verdicts.append(oracle_projector_sandwich(152, 10, 0.4, 10**3, seed))
+    verdicts.append(oracle_claim_c2(trials, _stream(seed, "oracles", 1)))
+    verdicts.extend(oracle_random_projection_tails(152, 10, trials, _stream(seed, "oracles", 2)))
+    verdicts.extend(oracle_random_projection_tails(31, 5, trials, _stream(seed, "oracles", 3)))
+    verdicts.append(oracle_projector_sandwich(152, 10, 0.4, 10**3, _stream(seed, "oracles", 4)))
     rows = [
         {
             "name": v.name,
@@ -508,7 +513,7 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 # Every flag a subcommand may read: params key -> (option, argparse keywords).
-# Each command also takes --seed and --out.
+# Each command also takes --out, and --seed if it has a random stream.
 _FLAGS = {
     "T": ("--T", {"type": int}),
     "d": ("--d", {"type": int}),
@@ -524,19 +529,19 @@ _FLAGS = {
 class Command:
     """One subcommand: what the parser, the random streams and the CSV need."""
 
-    stream: int  # part of every random stream's seed, so never renumbered
+    stream: int | None  # in every random stream's seed, so never renumbered; None: no --seed
     help: str
     columns: tuple[str, ...]  # the CSV header, also listed by --help
-    flags: dict  # _FLAGS key -> default; with seed, the handler's keywords
+    flags: dict  # _FLAGS key -> default; with any seed, the handler's keywords
 
 
 _COMMANDS = {
     "worst-case": Command(
-        0,
+        None,
         "repeated-row sequence where replay backfires",
         (
             "variant", "T", "d", "solver", "forgetting", "analytic_stated", "abs_dev_stated",
-            "analytic_projector", "abs_dev_projector", "final_iterate_drift", "seed",
+            "analytic_projector", "abs_dev_projector", "final_iterate_drift",
         ),
         {"T": 10, "d": 3},
     ),
@@ -571,9 +576,9 @@ _COMMANDS = {
         {"d": 3, "epsilon": None, "m_list": "0,1,2", "trials": None},
     ),
     "angle-sweep": Command(
-        4,
+        None,
         "forgetting vs angle between task null spaces",
-        ("theta", "empirical_forgetting", "analytic_forgetting", "abs_dev", "solver", "seed"),
+        ("theta", "empirical_forgetting", "analytic_forgetting", "abs_dev", "solver"),
         {"d": 3, "grid_points": 91},
     ),
     "benign-check": Command(
@@ -617,16 +622,18 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in spec.flags.items():
             option, options = _FLAGS[key]
             sp.add_argument(option, dest=key, default=default, **options)
-        sp.add_argument("--seed", type=int, default=42)
+        if spec.stream is not None:
+            sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--out", default=None, help="CSV output path")
     return parser
 
 
 def _resolve_params(args: argparse.Namespace) -> dict:
     params = {key: getattr(args, key) for key in _COMMANDS[args.command].flags}
-    if args.seed < 0:
-        raise InvalidParameters("seed must be a non-negative integer")
-    params["seed"] = args.seed
+    if "seed" in args:  # the parser adds --seed only to commands that draw
+        if args.seed < 0:
+            raise InvalidParameters("seed must be a non-negative integer")
+        params["seed"] = args.seed
     if "m_list" in params:
         params["m_list"] = _parse_m_list(params["m_list"])
     return params

@@ -4,8 +4,10 @@ These run before (and alongside) the main experiments: a KKT-based
 min-norm solver that shares no code path with the pseudoinverse route, a
 Monte Carlo evaluation of the 3D replay-ratio expectation, and direct
 numerical checks of the random-projection concentration bounds used by the
-high-dimensional analysis. Reference constants they produce are frozen in
-a fixtures file together with the generating seed.
+high-dimensional analysis. The Gaussian oracles draw from the
+``numpy.random.Generator`` their caller passes, as every sampler in the
+package does. Reference constants they produce from ``default_rng(seed)``
+are frozen in a fixtures file together with that seed.
 """
 
 from __future__ import annotations
@@ -75,12 +77,12 @@ def oracle_min_norm(X, y, w_prev) -> np.ndarray:
     return w
 
 
-def claim_c2_statistics(trials: int, seed: int) -> tuple[float, float]:
+def claim_c2_statistics(trials: int, rng: np.random.Generator) -> tuple[float, float]:
     """Mean and standard error of 63 a'^2 - 62 a'^4.
 
     a'^2 = a1^2 / (a2^2/63 + a1^2) with a1, a2 independent standard
-    normals. Exposed separately so experiments can reuse the exact law the
-    oracle evaluates, from ``default_rng(seed)``.
+    normals drawn from ``rng``. Exposed separately so experiments can reuse
+    the exact law the oracle evaluates.
 
     Each 200 000-draw block takes its a1 values, then its a2 values, so the
     block decides which normals pair up. a1 is drawn into its slice of the
@@ -88,16 +90,15 @@ def claim_c2_statistics(trials: int, seed: int) -> tuple[float, float]:
     """
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
-    gen = np.random.default_rng(seed)
     values = np.empty(trials)
     a2 = np.empty(min(_BLOCK_ENTRIES, trials))
     for start in range(0, trials, 200000):
         block = values[start : start + 200000]
-        gen.standard_normal(out=block)
+        rng.standard_normal(out=block)
         for lo in range(0, block.size, _BLOCK_ENTRIES):
             v = block[lo : lo + _BLOCK_ENTRIES]
             b = a2[: v.size]
-            gen.standard_normal(out=b)
+            rng.standard_normal(out=b)
             np.square(b, out=b)
             b /= 63.0
             np.square(v, out=v)
@@ -112,7 +113,7 @@ def claim_c2_statistics(trials: int, seed: int) -> tuple[float, float]:
     return mean, std_err
 
 
-def oracle_claim_c2(trials: int, seed: int) -> OracleVerdict:
+def oracle_claim_c2(trials: int, rng: np.random.Generator) -> OracleVerdict:
     """Monte Carlo check of the 3D replay-ratio lower bound (>= 1.4).
 
     Fails only when the sampled mean sits below the bound by more than
@@ -120,7 +121,7 @@ def oracle_claim_c2(trials: int, seed: int) -> OracleVerdict:
     """
     if trials < 10**4:
         raise InvalidParameters("trials must be >= 10^4")
-    mean, std_err = claim_c2_statistics(trials, seed)
+    mean, std_err = claim_c2_statistics(trials, rng)
     return OracleVerdict(
         name="claim_c2_ratio",
         observed=mean,
@@ -170,23 +171,23 @@ def binomial_upper_tail(n: int, p: float, k: int) -> float:
 
 
 def oracle_random_projection_tails(
-    d: int, m: int, trials: int, seed: int
+    d: int, m: int, trials: int, rng: np.random.Generator
 ) -> list[OracleVerdict]:
     """Empirical tails of the random-projection statistic vs their bounds.
 
-    Samples uniform unit vectors in R^{d-1} and measures the squared norm
-    of the first m coordinates. Checks P[stat <= t m/(d-1)] at t = 1/30
+    Samples uniform unit vectors in R^{d-1} from ``rng`` and measures the
+    squared norm of the first m coordinates. Checks P[stat <= t m/(d-1)] at t = 1/30
     and P[stat >= t m/(d-1)] at t = 5 against exp(m(1-t+ln t)/2). A check
     fails when its event count is improbable for a frequency at the bound:
     when P[Binomial(trials, bound) >= count] < ``TAIL_FALSE_ALARM``
     (1e-6). A true frequency at or below the bound then fails a check with
-    probability at most 1e-6.
+    probability at most 1e-6. The two verdicts are named after their case,
+    ``projection_tail_lower_d{d}_m{m}`` and ``projection_tail_upper_d{d}_m{m}``.
     """
     if m >= d - 1:
         raise InvalidParameters("requires m < d - 1")
     if trials < 10**4:
         raise InvalidParameters("trials must be >= 10^4")
-    gen = np.random.default_rng(seed)
     low_count = 0
     high_count = 0
     t_low, t_high = 1.0 / 30.0, 5.0
@@ -194,20 +195,17 @@ def oracle_random_projection_tails(
     thr_high = t_high * m / (d - 1)
     rows = max(1, _BLOCK_ENTRIES // (d - 1))
     for start in range(0, trials, rows):
-        g = gen.standard_normal((min(rows, trials - start), d - 1))
+        g = rng.standard_normal((min(rows, trials - start), d - 1))
         np.square(g, out=g)
         stat = g[:, :m].sum(axis=1) / g.sum(axis=1)
         low_count += int(np.sum(stat <= thr_low))
         high_count += int(np.sum(stat >= thr_high))
     verdicts = []
-    for name, count, t in (
-        ("projection_tail_lower", low_count, t_low),
-        ("projection_tail_upper", high_count, t_high),
-    ):
+    for side, count, t in (("lower", low_count, t_low), ("upper", high_count, t_high)):
         bound = projection_tail_bound(m, t)
         verdicts.append(
             OracleVerdict(
-                name=name,
+                name=f"projection_tail_{side}_d{d}_m{m}",
                 observed=count / trials,
                 bound_or_expected=bound,
                 passed=binomial_upper_tail(trials, bound, count) >= TAIL_FALSE_ALARM,
@@ -218,11 +216,11 @@ def oracle_random_projection_tails(
 
 
 def oracle_projector_sandwich(
-    d: int, m: int, epsilon: float, trials: int, seed: int
+    d: int, m: int, epsilon: float, trials: int, rng: np.random.Generator
 ) -> OracleVerdict:
     """Direct check of the anisotropic-projector sandwich inequality.
 
-    Each trial draws m Gaussian rows in R^{d-1}; scaling their first
+    Each trial draws m Gaussian rows in R^{d-1} from ``rng``; scaling their first
     coordinate by epsilon gives the replay span's projector P~, the raw
     rows give the isotropic P^. The inequality
     eps^2 ||P^ e||^2 <= ||P~ e||^2 <= ||P^ e||^2 (e = first axis) must
@@ -234,11 +232,10 @@ def oracle_projector_sandwich(
         raise InvalidParameters("epsilon must be in (0, 1]")
     if trials < 1:
         raise InvalidParameters("trials must be >= 1")
-    gen = np.random.default_rng(seed)
     block = max(1, _BLOCK_ENTRIES // (m * (d - 1)))
     worst = math.inf
     for start in range(0, trials, block):
-        G = gen.standard_normal((min(block, trials - start), m, d - 1))
+        G = rng.standard_normal((min(block, trials - start), m, d - 1))
         A = G.copy()
         A[:, :, 0] *= epsilon
         iso = _proj_sq_norm(G)

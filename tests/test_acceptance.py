@@ -130,8 +130,8 @@ def test_criterion_04_avg_case_3d_ratio(criterion):
 
 def test_criterion_05_ratio_oracle(criterion):
     t0 = time.perf_counter()
-    verdict = oracle_claim_c2(10**6, 42)
-    mean, se = claim_c2_statistics(10**6, 42)
+    verdict = oracle_claim_c2(10**6, np.random.default_rng(42))
+    mean, se = claim_c2_statistics(10**6, np.random.default_rng(42))
     dt = time.perf_counter() - t0
     ok = verdict.passed and mean - 3.0 * se >= 1.4 and dt < 10.0
     assert criterion(
@@ -302,7 +302,7 @@ def test_criterion_10_gd_matches_closed_form(criterion):
 def test_criterion_11_concentration_tails(criterion):
     verdicts = []
     for d, m in ((152, 10), (31, 5)):
-        verdicts.extend(oracle_random_projection_tails(d, m, 10**5, 42))
+        verdicts.extend(oracle_random_projection_tails(d, m, 10**5, np.random.default_rng(42)))
     ok = all(v.passed for v in verdicts)
     detail = "; ".join(
         f"{v.name} freq {v.observed:.2e} vs bound {v.bound_or_expected:.2e}"

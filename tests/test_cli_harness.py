@@ -52,7 +52,7 @@ def test_worst_case_writes_csv_and_sidecar(tmp_path):
     ]
     sidecar = json.loads((tmp_path / "wc.config.json").read_text())
     assert sidecar["command"] == "worst-case"
-    assert sidecar["params"] == {"T": 5, "d": 3, "seed": 42}
+    assert sidecar["params"] == {"T": 5, "d": 3}
     assert "projector_replay_x2" in sidecar["analytic_predictions"]
     assert sidecar["version"]
 
@@ -62,7 +62,7 @@ def test_worst_case_stdout(capsys):
     header = capsys.readouterr().out.splitlines()[0]
     assert header == (
         "variant,T,d,solver,forgetting,analytic_stated,abs_dev_stated,"
-        "analytic_projector,abs_dev_projector,final_iterate_drift,seed"
+        "analytic_projector,abs_dev_projector,final_iterate_drift"
     )
 
 
@@ -70,8 +70,10 @@ def test_worst_case_stdout(capsys):
     "argv",
     [
         ["worst-case", "--d", "2"],
-        ["worst-case", "--seed", "-1"],
+        ["benign-check", "--seed", "-1"],
         ["replay-sweep", "--m", "1,x"],
+        ["replay-sweep", "--m", ""],
+        ["replay-sweep", "--m", ","],
         ["replay-sweep", "--m", "9", "--trials", "5"],
         ["avg-case-highdim", "--m", "0"],
         ["avg-case-3d", "--trials", "10"],
@@ -439,7 +441,7 @@ def test_angle_sweep_grid(tmp_path):
         best = max(lane, key=lambda r: float(r["empirical_forgetting"]))
         assert abs(float(best["theta"]) - math.pi / 4.0) <= math.pi / 60.0 + 1e-12
     sidecar = json.loads((tmp_path / "angles.config.json").read_text())
-    assert sidecar["params"] == {"d": 4, "grid_points": 31, "seed": 42}
+    assert sidecar["params"] == {"d": 4, "grid_points": 31}
 
 
 def test_avg_case_3d_report(tmp_path):
@@ -497,7 +499,7 @@ SMALL_RUNS = {
     "worst-case": ["--T", "3"],
     "avg-case-3d": ["--trials", "1000"],
     "avg-case-highdim": ["--trials", "10"],
-    "replay-sweep": ["--m", "0", "--trials", "2"],
+    "replay-sweep": ["--m", "1", "--trials", "2"],
     "angle-sweep": ["--grid-points", "3"],
     "benign-check": ["--trials", "2"],
     "oracles": ["--trials", "10000"],
@@ -505,9 +507,10 @@ SMALL_RUNS = {
 
 
 def _options(command):
-    """The options a command accepts besides --help."""
+    """The options a command accepts besides --help; --seed if it has a random stream."""
     table = {cli_harness._FLAGS[key][0] for key in _COMMANDS[command].flags}
-    return table | {"--seed", "--out"}
+    seed = {"--seed"} if _COMMANDS[command].stream is not None else set()
+    return table | seed | {"--out"}
 
 
 def test_subcommand_help_documents_columns(capsys):
@@ -523,7 +526,8 @@ def test_subcommand_help_documents_columns(capsys):
         # and the handler takes exactly those params as keywords
         handler = getattr(cli_harness, "cmd_" + command.replace("-", "_"))
         params = inspect.signature(handler).parameters
-        assert set(params) == set(_COMMANDS[command].flags) | {"seed"}, command
+        seed = {"seed"} if _COMMANDS[command].stream is not None else set()
+        assert set(params) == set(_COMMANDS[command].flags) | seed, command
         assert main([command, *argv]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "".join(epilog.split()) == header, command
@@ -541,11 +545,32 @@ def test_parameter_columns_echo_the_sidecar(tmp_path):
         if command == "oracles":
             assert echoed == ["trials", "seed"]
             echoed = ["seed"]
-        assert echoed, command
+        # angle-sweep has no column named after a parameter, now that it takes no seed
+        assert echoed or command == "angle-sweep", command
         for row in rows:
             assert {key: row[key] for key in echoed} == {
                 key: str(params[key]) for key in echoed
             }, command
+
+
+def test_seed_is_taken_by_exactly_the_commands_that_draw(tmp_path, capsys):
+    # the two fixed constructions draw nothing, so they take no --seed
+    fixed = {command for command, spec in _COMMANDS.items() if spec.stream is None}
+    assert fixed == {"worst-case", "angle-sweep"}
+    for command in sorted(fixed):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unrecognized arguments: --seed 1" in err, err
+    # every other command writes other numbers at another seed
+    for command in sorted(set(_COMMANDS) - fixed):
+        tables = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{command}.{seed}.csv"
+            assert main([command, *SMALL_RUNS[command], "--seed", seed, "--out", str(out)]) == 0
+            tables.append([{k: v for k, v in r.items() if k != "seed"} for r in _read_csv(out)])
+        assert tables[0] != tables[1], command
 
 
 # Each command's minimum accepted --trials; the fuzz draws it or one below.
@@ -564,7 +589,7 @@ FUZZ_VALUES = {
         ["-0.5", "0", "1e-200", "0.1", "0.4", "0.9", "1.5", "nan", "inf"]
     ),
     "--m": st.sampled_from(["0", "1", "2", "3", "10", "-1", "0,1", "0,1,2", "1,x", ""]),
-    "--seed": st.sampled_from(["-1", "0", "7", "x"]),
+    "--seed": st.sampled_from(["-1", "0", "7", "x"]),  # worst-case, angle-sweep: unread
     "--solver": st.sampled_from(["closed", "gd", "newton"]),
     "--out": st.sampled_from(["ok.csv", "missing/x.csv"]),
     "--grid-points": st.sampled_from(["-1", "2", "3", "7", "x"]),

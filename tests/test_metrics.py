@@ -112,6 +112,18 @@ def test_forgetting_test_mean_matches_closed_form():
     assert at_star["mean"] <= 1e-20
 
 
+def test_fresh_sample_forms_need_two_tasks_and_a_trial():
+    s1, s2, p1 = make_avg_case_3d()
+    for form in (
+        lambda: forgetting_test_mean([s1], p1, p1, 10, np.random.default_rng(0)),
+        lambda: expected_forgetting_closed_form([s1], p1),
+    ):
+        with pytest.raises(TooFewTasks, match="at least two tasks"):
+            form()
+    with pytest.raises(InvalidParameters, match="trials must be >= 1"):
+        forgetting_test_mean([s1, s2], p1, p1, 0, np.random.default_rng(0))
+
+
 def test_forgetting_test_mean_working_set_is_bounded():
     # One 2000 x 40 x 40 block of normals would take 25.6 MB; pieces of
     # _TEST_PIECE_ENTRIES normals keep the peak near 1 MiB.
@@ -177,7 +189,7 @@ def test_replay_expectation_matches_claim_statistic():
     )
     ratio = res["mean"] / base
     ratio_se = res["std_err"] / base
-    mean, se = claim_c2_statistics(trials, 4)
+    mean, se = claim_c2_statistics(trials, np.random.default_rng(4))
     assert abs(ratio - mean) <= 3.0 * math.hypot(ratio_se, se)
 
 
@@ -194,7 +206,7 @@ def test_replay_ratio_3d_is_one_over_two_eps(eps):
     exact = 1.0 / (2.0 * eps)
     assert abs(res["mean"] / base - exact) <= 4.9 * res["std_err"] / base
     # the oracle's scalar statistic has the same law at the default eps
-    mean, se = claim_c2_statistics(10**6, 42)
+    mean, se = claim_c2_statistics(10**6, np.random.default_rng(42))
     assert abs(mean - math.sqrt(63.0) / 2.0) <= 4.9 * se
 
 
@@ -508,6 +520,10 @@ def test_replay_expectation_validates():
     with pytest.raises(InvalidParameters):
         expected_replay_forgetting_two_tasks(
             s1, s2, p1, 1, 0, np.random.default_rng(0)
+        )
+    with pytest.raises(InvalidParameters, match="first task subspace is trivial"):
+        expected_replay_forgetting_two_tasks(
+            Subspace(np.zeros((3, 0))), s2, p1, 1, 10, np.random.default_rng(0)
         )
 
 
