@@ -29,11 +29,11 @@ from .linalg_core import (
 )
 from .task_gen import TaskSequence
 
-# Trials per chunk in the replay Monte Carlo kernel. A trial draws k1 * k2
-# normals and keeps a few k1 x r and k2 x k2 arrays (r <= k2), so a chunk is
-# also capped at _REPLAY_CHUNK_ENTRIES // (k2 * max(k1, k2)) trials: each
-# array stays near 0.5 MB (434-trial chunks at d = 152). A chunk holds at
-# least one trial.
+# Trials per chunk in the replay Monte Carlo kernel. A trial fills a factor R
+# of rows <= 2 * k2 rows and keeps a few rows x r and k2 x k2 arrays
+# (r <= k2), so a chunk is also capped at
+# _REPLAY_CHUNK_ENTRIES // (k2 * max(rows, k2)) trials: each array stays
+# near 0.5 MB. A chunk holds at least one trial.
 _REPLAY_CHUNK = 4096
 _REPLAY_CHUNK_ENTRIES = 2**16
 # Gauss-Legendre nodes per panel of the exact rank-one replay value.
@@ -147,13 +147,14 @@ def _polar_factor(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def _replay_values(H, m, SVt, C0tC0, c) -> np.ndarray:
-    """||B~ y||^2 per trial for a stack of H = G V (see the kernel below).
+def _replay_values(H, split, SVt, C0tC0, c) -> np.ndarray:
+    """||B~ y||^2 per trial for a stack of H = R V (see the kernel below).
 
-    A function of its own, so no chunk's arrays outlive the chunk.
+    B~ reads the polar factor's rows from ``split`` on. A function of its
+    own, so no chunk's arrays outlive the chunk.
     """
-    Phi = _polar_factor(H)[:, m:]
-    BtB = SVt.T @ (Phi.transpose(0, 2, 1) @ Phi) @ SVt  # B~ = Phi[m:] S V^T
+    Phi = _polar_factor(H)[:, split:]
+    BtB = SVt.T @ (Phi.transpose(0, 2, 1) @ Phi) @ SVt  # B~ = Phi S V^T
     evals, evecs = np.linalg.eigh(BtB + C0tC0)
     evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
     keep = rank_mask(np.sqrt(np.clip(evals, 0.0, None)))
@@ -161,6 +162,29 @@ def _replay_values(H, m, SVt, C0tC0, c) -> np.ndarray:
     y = evecs @ (inv * (c @ evecs))[:, :, None]
     Bty = np.einsum("nij,nj->ni", Phi, (SVt @ y)[:, :, 0])
     return np.einsum("ni,ni->n", Bty, Bty)
+
+
+def _factor_layout(k1: int, m: int, k2: int):
+    """Where one trial's draws go in the kernel's R = [R_A; R_B], flattened.
+
+    R_A stands for the min(m, k1) memory rows of task 1 and R_B for the
+    rest; see the kernel below. Returns the rows of R_A, the rows of R, the
+    slots that take normals (in draw order), the slots that take chi
+    variates, and the chi variates' degrees of freedom.
+    """
+    blocks = (min(m, k1), k1 - min(m, k1))
+    heights = [min(n, k2) for n in blocks]  # rows of R_A and of R_B
+    normal, chi, dof = [], [np.arange(0)], [np.arange(0)]
+    for n, top in zip(blocks, (0, heights[0])):
+        if n <= k2:
+            normal.append(np.arange(top * k2, (top + n) * k2))
+        else:
+            i, j = np.triu_indices(k2, 1)
+            diag = np.arange(k2)
+            normal.append((top + i) * k2 + j)
+            chi.append((top + diag) * k2 + diag)
+            dof.append(n - diag)
+    return heights[0], sum(heights), *(np.concatenate(x) for x in (normal, chi, dof))
 
 
 def expected_replay_forgetting_two_tasks(
@@ -190,21 +214,34 @@ def expected_replay_forgetting_two_tasks(
     with U S V^T the part of B's SVD that passes ``rank_mask`` (r columns),
     U^T (I - P_Z) U has the law of Phi[m:]^T Phi[m:] for a Haar k1 x r
     frame Phi: a matrix-variate Beta, or Jacobi, law (Muirhead, Aspects of
-    Multivariate Statistical Theory, 1982, sec. 3.3). Each trial therefore
-    draws a k1 x k2 matrix G of N(0, 1) entries, takes Phi as the polar
-    factor H (H^T H)^(-1/2) of H = G V, and uses B~ = Phi[m:] S V^T: its
-    Gram matrix has the law of B^T (I - P_Z) B, and the value reads B~ only
-    through that Gram matrix. Replacing V by V O, with O commuting with S
-    (the SVD's own freedom), maps Phi to Phi O and leaves B~ unchanged, so
-    rotating both tasks, which moves B by rounding only, gives the same
-    values from the same seed, also where B has repeated singular values.
-    For m >= k1, Phi[m:] has no rows and the value is exactly 0.
+    Multivariate Statistical Theory, 1982, sec. 3.3). Phi is the polar
+    factor H (H^T H)^(-1/2) of H = G V for a k1 x k2 matrix G of N(0, 1)
+    entries, and B~ = Phi[m:] S V^T: its Gram matrix has the law of
+    B^T (I - P_Z) B, and the value reads B~ only through that Gram matrix.
+    That matrix reads G only through G_A^T G_A ~ W_k2(m) and
+    G_B^T G_B ~ W_k2(k1 - m), the Wishart Gram matrices of G's first m rows
+    and of the rest, which are independent. So each trial draws a factor
+    R = [R_A; R_B] with R_A^T R_A and R_B^T R_B of those laws and uses R in
+    place of G, splitting Phi after R_A's rows. A block of n <= k2 rows
+    stays n rows of normals; a larger block is its k2 x k2 Bartlett factor,
+    upper triangular with sqrt(chi^2_(n - i)) on the diagonal (i = 0 ..
+    k2 - 1) and N(0, 1) above it (Muirhead, Thm 3.2.14). Replacing V by
+    V O, with O commuting with S (the SVD's own freedom), maps Phi to Phi O
+    and leaves B~ unchanged, so rotating both tasks, which moves B by
+    rounding only, gives the same values from the same seed, also where B
+    has repeated singular values. For m >= k1, R_B has no rows and the
+    value is exactly 0.
 
-    A call consumes exactly trials * k1 * k2 standard normals from ``rng``,
-    the same stream as one ``rng.standard_normal((trials, k1, k2))``: 151 a
-    trial at d = 152, where memory rows would take m * 151. Trials run in
-    chunks of up to ``_REPLAY_CHUNK``, each drawn in one call, so chunking
-    never shows in the output.
+    A call consumes exactly trials * n standard normals from ``rng``, the
+    same stream as one ``rng.standard_normal((trials, n))``, where n counts
+    one trial's Gaussian-row entries and Bartlett off-diagonal entries in
+    trial-major order. Where both blocks are rows of normals (m <= k2 and
+    k1 - m <= k2) that is G itself, k1 * k2 normals. The chi variates come
+    from one child, ``rng.spawn(1)[0]``, made only when a block is a
+    Bartlett factor. At d = 152, m = 10 (k2 = 1) a trial draws no normals
+    and two chi variates, where G took 151 normals and memory rows m * 151.
+    Trials run in chunks of up to ``_REPLAY_CHUNK``, each drawn in one call
+    per stream, so chunking never shows in the output.
 
     Returns:
         {"mean", "std_err"} of the per-trial values.
@@ -233,11 +270,17 @@ def expected_replay_forgetting_two_tasks(
     SVt = svals[keep, None] * vh[keep]  # S V^T
     values = np.empty(trials)
     k2 = s2.rank
-    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // max(1, k2 * max(k1, k2))))
+    split, rows, normal_slots, chi_slots, dof = _factor_layout(k1, m, k2)
+    chi_rng = rng.spawn(1)[0] if dof.size else None
+    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // max(1, k2 * max(rows, k2))))
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        H = (rng.standard_normal((size * k1, k2)) @ V).reshape(size, k1, -1)
-        values[start : start + size] = _replay_values(H, m, SVt, C0tC0, c)
+        R = np.zeros((size, rows * k2))
+        R[:, normal_slots] = rng.standard_normal((size, normal_slots.size))
+        if chi_rng is not None:
+            R[:, chi_slots] = np.sqrt(chi_rng.chisquare(dof, (size, dof.size)))
+        H = (R.reshape(size * rows, k2) @ V).reshape(size, rows, -1)
+        values[start : start + size] = _replay_values(H, split, SVt, C0tC0, c)
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return {"mean": mean, "std_err": std_err}

@@ -348,7 +348,12 @@ def test_law_kernel_matches_qr_reference(case, m):
 
 @pytest.mark.parametrize(
     "d,eps,m,trials",
-    [(3, EPSILON_3D, 1, 10**5), (152, 0.4, 10, 20000), (152, 0.4, 120, 20000)],
+    [
+        (3, EPSILON_3D, 1, 10**5),
+        (152, 0.4, 10, 20000),
+        (152, 0.4, 120, 20000),
+        (1000, 0.4, 10, 20000),  # R_B's diagonal is sqrt(chi^2_989)
+    ],
 )
 def test_law_kernel_matches_exact_value(d, eps, m, trials):
     s1, s2, w_star = make_avg_case_highdim(d, eps)
@@ -409,16 +414,52 @@ def test_law_kernel_keeps_the_rotation_law_at_repeated_singular_values():
             assert abs(plain - rotated) <= 1e-12 * abs(plain) + 1e-14, (seed, m)
 
 
+def test_law_kernel_keeps_the_rotation_law_with_bartlett_blocks():
+    # k1 = 7, k2 = 2: m = 1 draws R_B as a Bartlett factor, m = 3 both
+    # blocks, m = 5 R_A (worst seen 2.5e-3 of the gate)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((10, 10)))
+        Q = q * np.sign(np.diag(r))
+        s1 = orthonormal_basis(rng.standard_normal((7, 10)))
+        s2 = orthonormal_basis(rng.standard_normal((2, 10)))
+        w_star = rng.standard_normal(10)
+        for m in (1, 3, 5):
+            plain, rotated = (
+                expected_replay_forgetting_two_tasks(
+                    Subspace(A @ s1.basis), Subspace(A @ s2.basis), A @ w_star, m, 200,
+                    np.random.default_rng(seed),
+                )["mean"]
+                for A in (np.eye(10), Q)
+            )
+            assert abs(plain - rotated) <= 1e-12 * abs(plain) + 1e-14, (seed, m)
+
+
+def _normals_per_trial(k1, m, k2):
+    # each block's Gaussian-row entries, or its Bartlett factor's entries
+    # above the diagonal when it stands for more than k2 rows
+    blocks = (min(m, k1), k1 - min(m, k1))
+    return sum(n * k2 if n <= k2 else k2 * (k2 - 1) // 2 for n in blocks)
+
+
 @pytest.mark.parametrize(
     "case,m,trials",
-    [("3d", 1, 1), ("3d", 1, 4097), ("highdim", 10, 435), ("rand-10-4-3", 2, 513), ("3d", 5, 7)],
+    [
+        ("3d", 1, 1),
+        ("3d", 1, 4097),
+        ("highdim", 10, 435),
+        ("rand-10-4-3", 2, 513),
+        ("3d", 5, 7),
+        ("rand-8-6-4", 1, 300),  # Gaussian rows, then a 4 x 4 Bartlett factor
+    ],
 )
-def test_law_kernel_draws_trials_k1_k2_normals(case, m, trials):
-    # the docstring's count, across chunk boundaries and for m >= k1
+def test_law_kernel_draws_only_the_factor_normals(case, m, trials):
+    # the docstring's count, across chunk boundaries and for m >= k1; the chi
+    # variates come from a spawned child and leave rng's bits alone
     s1, s2, w_star = _replay_case(case)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
-    ref_rng.standard_normal((trials, s1.rank, s2.rank))
+    ref_rng.standard_normal((trials, _normals_per_trial(s1.rank, m, s2.rank)))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -436,15 +477,14 @@ def test_replay_kernel_output_independent_of_chunk_size(monkeypatch, case, m):
 
 def test_replay_kernel_working_set_is_bounded():
     # numpy reports its buffers to tracemalloc. The first call's peak holds
-    # one-time allocations, so the second call's is read. At d = 152 it is
-    # 1.57 MiB, about three of one chunk's 434 x 151 arrays (0.5 MiB each);
-    # the chunk loop with _replay_values inlined keeps a chunk's arrays alive
-    # into the next and peaks at 2.55 MiB. The 3D case peaks near 1.6 MiB,
-    # and 3D chunks without the _REPLAY_CHUNK trial cap at 3.55 MiB.
-    k1 = 151
-    chunk_array = metrics._REPLAY_CHUNK_ENTRIES // k1 * k1 * 8
+    # one-time allocations, so the second call's is read. At d = 152 a trial
+    # fills two Bartlett entries, and the peak is 0.47 MiB; drawing G's
+    # k1 x k2 = 151 normals a trial in 434-trial chunks peaked at 1.57 MiB,
+    # and with _replay_values inlined into the chunk loop at 2.55 MiB. The
+    # 3D case peaks near 1.6 MiB, and 3D chunks without the _REPLAY_CHUNK
+    # trial cap at 3.55 MiB.
     for d, eps, m, trials, bound in (
-        (152, 0.4, 10, 6000, 4 * chunk_array),
+        (152, 0.4, 10, 6000, 2**20),
         (3, EPSILON_3D, 1, 10**5, 3 * 2**20),
     ):
         s1, s2, w_star = make_avg_case_highdim(d, eps)

@@ -60,6 +60,31 @@ def test_oracle_min_norm_crosscheck_100_systems():
     assert worst <= 1e-8
 
 
+def test_oracle_min_norm_is_accurate_on_ill_conditioned_square_systems():
+    # singular values 1 .. 1e-5: the KKT matrix roughly squares cond(X), and
+    # the solve alone missed the square system's solution by more than 1e-8
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(50):
+        q1, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        q2, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        X = q1 @ np.diag(np.logspace(0, -5, 9)) @ q2.T
+        y = X @ rng.standard_normal(9)
+        diff = oracle_min_norm(X, y, np.zeros(9)) - np.linalg.solve(X, y)
+        worst = max(worst, float(np.linalg.norm(diff)))
+    assert worst <= 1e-8
+
+
+def test_oracles_crosscheck_passes_at_seed_17(tmp_path):
+    # the 34th crosscheck system of seed 17 is a 9 x 9 X with condition
+    # number 9.3e4, where the unrefined KKT route missed by 5.4e-8
+    out = tmp_path / "o.csv"
+    assert main(["oracles", "--trials", "10000", "--seed", "17", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = {row["name"]: row for row in csv.DictReader(fh)}
+    assert float(rows["min_norm_crosscheck"]["observed"]) <= 1e-10
+
+
 def test_oracle_min_norm_inconsistent():
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(InconsistentSystem):
