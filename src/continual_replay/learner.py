@@ -17,8 +17,6 @@ fits the augmented sequence like any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, NotConverged
@@ -29,19 +27,10 @@ from .task_gen import Task, TaskSequence
 # strings are the values of the CLI's per-row solver column.
 SOLVERS = ("closed_form", "gd")
 
-
-@dataclass(frozen=True)
-class GdConfig:
-    """Full-batch gradient-descent settings; the step is 1/lambda_max(X^T X) per task."""
-
-    epochs: int = 100000
-    convergence_tol: float = 1e-11
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidParameters("epochs must be at least 1")
-        if not self.convergence_tol > 0:
-            raise InvalidParameters("convergence_tol must be positive")
+# The one gradient-descent budget: K epochs, and the largest final residual
+# ||X w_K - y|| a fit may leave. The K-step iterate costs one SVD at any K.
+GD_EPOCHS = 10**20
+GD_TOL = 1e-11
 
 
 def fit_closed_form(w_prev, task: Task) -> np.ndarray:
@@ -59,8 +48,8 @@ def fit_closed_form(w_prev, task: Task) -> np.ndarray:
     return w_prev + min_norm_solve(task.X, task.y - task.X @ w_prev)
 
 
-def fit_gd(w_prev, task: Task, cfg: GdConfig = GdConfig()) -> np.ndarray:
-    """``cfg.epochs`` full-batch gradient-descent steps on ||X w - y||^2 from w_prev.
+def fit_gd(w_prev, task: Task, *, epochs: int = GD_EPOCHS) -> np.ndarray:
+    """``epochs`` full-batch gradient-descent steps on ||X w - y||^2 from w_prev.
 
     The step is lr = 1/lambda_max(X^T X) = 1/s_max^2. The K-step iterate
     w <- w - lr X^T (X w - y) is computed exactly from one SVD
@@ -69,10 +58,12 @@ def fit_gd(w_prev, task: Task, cfg: GdConfig = GdConfig()) -> np.ndarray:
         w_K = w_prev + V diag((1 - (1 - lr s^2)^K) / s) U^T (y - X w_prev).
 
     Because every step lies in the row span of X, the limit is the same
-    minimum-distance solution as fit_closed_form.
+    minimum-distance solution as fit_closed_form. Every caller in the
+    package runs K = ``GD_EPOCHS``; a smaller K lets a check compare the
+    iterate with an epoch loop.
 
     Raises:
-        NotConverged: if ||X w_K - y|| > ``cfg.convergence_tol``.
+        NotConverged: if ||X w_K - y|| > ``GD_TOL``.
     """
     w_prev = as_vector(w_prev, "w_prev")
     if w_prev.shape[0] != task.ambient_dim:
@@ -91,14 +82,13 @@ def fit_gd(w_prev, task: Task, cfg: GdConfig = GdConfig()) -> np.ndarray:
     # 1 - (1 - step)^K rounds away its digits where step is tiny, so it is
     # -expm1(K log1p(-step)). Exactly, step <= 1, but lr * s_max^2 can round
     # to just above 1; capped at 1, log1p gives -inf and the gain is 1/s.
+    # K enters as a float: 10**20 does not fit an int64.
     with np.errstate(divide="ignore"):
-        gain = -np.expm1(cfg.epochs * np.log1p(-np.minimum(step, 1.0))) / s
+        gain = -np.expm1(float(epochs) * np.log1p(-np.minimum(step, 1.0))) / s
     w = w_prev + Vt[keep].T @ (gain * (U[:, keep].T @ (y - X @ w_prev)))
     residual = float(np.linalg.norm(X @ w - y))
-    if residual > cfg.convergence_tol:
-        raise NotConverged(
-            f"||Xw - y|| = {residual:.3e} > {cfg.convergence_tol} after {cfg.epochs} epochs"
-        )
+    if residual > GD_TOL:
+        raise NotConverged(f"||Xw - y|| = {residual:.3e} > {GD_TOL} after {epochs:g} epochs")
     return w
 
 
@@ -133,9 +123,7 @@ def augment_with_replay(seq: TaskSequence, memory: Task) -> TaskSequence:
     return TaskSequence(seq.tasks[:-1] + (final,), seq.w_star)
 
 
-def run_sequence(
-    seq: TaskSequence, solver: str = "closed_form", gd_config: GdConfig = GdConfig()
-) -> np.ndarray:
+def run_sequence(seq: TaskSequence, solver: str = "closed_form") -> np.ndarray:
     """Train on the tasks in order from the all-zero vector; return the final w.
 
     Args:
@@ -145,5 +133,5 @@ def run_sequence(
         raise InvalidParameters(f"unknown solver {solver!r}")
     w = np.zeros(seq.ambient_dim)
     for task in seq.tasks:
-        w = fit_closed_form(w, task) if solver == "closed_form" else fit_gd(w, task, gd_config)
+        w = fit_closed_form(w, task) if solver == "closed_form" else fit_gd(w, task)
     return w

@@ -167,12 +167,12 @@ def _replay_values(H, split, SVt, C0tC0, c) -> np.ndarray:
 def _factor_layout(k1: int, m: int, k2: int):
     """Where one trial's draws go in the kernel's R = [R_A; R_B], flattened.
 
-    R_A stands for the min(m, k1) memory rows of task 1 and R_B for the
-    rest; see the kernel below. Returns the rows of R_A, the rows of R, the
+    R_A stands for the m < k1 memory rows of task 1 and R_B for the rest;
+    see the kernel below. Returns the rows of R_A, the rows of R, the
     slots that take normals (in draw order), the slots that take chi
     variates, and the chi variates' degrees of freedom.
     """
-    blocks = (min(m, k1), k1 - min(m, k1))
+    blocks = (m, k1 - m)
     heights = [min(n, k2) for n in blocks]  # rows of R_A and of R_B
     normal, chi, dof = [], [np.arange(0)], [np.arange(0)]
     for n, top in zip(blocks, (0, heights[0])):
@@ -229,13 +229,14 @@ def expected_replay_forgetting_two_tasks(
     V O, with O commuting with S (the SVD's own freedom), maps Phi to Phi O
     and leaves B~ unchanged, so rotating both tasks, which moves B by
     rounding only, gives the same values from the same seed, also where B
-    has repeated singular values. For m >= k1, R_B has no rows and the
-    value is exactly 0.
+    has repeated singular values. For m >= k1 the memory spans task 1, so
+    every value is exactly 0: the call returns a mean and standard error of
+    0 without touching ``rng``.
 
-    A call consumes exactly trials * n standard normals from ``rng``, the
-    same stream as one ``rng.standard_normal((trials, n))``, where n counts
-    one trial's Gaussian-row entries and Bartlett off-diagonal entries in
-    trial-major order. Where both blocks are rows of normals (m <= k2 and
+    For m < k1, a call consumes exactly trials * n standard normals from
+    ``rng``, the same stream as one ``rng.standard_normal((trials, n))``,
+    where n counts one trial's Gaussian-row entries and Bartlett
+    off-diagonal entries in trial-major order. Where both blocks are rows of normals (m <= k2 and
     k1 - m <= k2) that is G itself, k1 * k2 normals. The chi variates come
     from one child, ``rng.spawn(1)[0]``, made only when a block is a
     Bartlett factor. At d = 152, m = 10 (k2 = 1) a trial draws no normals
@@ -258,6 +259,8 @@ def expected_replay_forgetting_two_tasks(
     k1 = s1.rank
     if k1 == 0:
         raise InvalidParameters("the first task subspace is trivial")
+    if m >= k1:
+        return {"mean": 0.0, "std_err": 0.0}  # the memory spans task 1
     W1, W2 = s1.basis, s2.basis
     q = w_star - W1 @ (W1.T @ w_star)  # P_1 w*
     B = W1.T @ W2

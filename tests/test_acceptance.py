@@ -18,12 +18,7 @@ import time
 
 import numpy as np
 
-from continual_replay.learner import (
-    GdConfig,
-    augment_with_replay,
-    run_sequence,
-    select_replay,
-)
+from continual_replay.learner import augment_with_replay, run_sequence, select_replay
 from continual_replay.linalg_core import orthonormal_basis
 from continual_replay.metrics import (
     benign_replay_certificate,
@@ -266,7 +261,6 @@ def _kaczmarz(w, X, y, max_sweeps=10000):
 
 def test_criterion_10_gd_matches_closed_form(criterion):
     rng = np.random.default_rng(10)
-    gd_cfg = GdConfig(epochs=100000, convergence_tol=1e-9)
     worst = 0.0
     worst_kaczmarz = 0.0
     for i in range(100):
@@ -283,7 +277,7 @@ def test_criterion_10_gd_matches_closed_form(criterion):
         replayed = augment_with_replay(seq, select_replay(seq, 1, np.random.default_rng(i)))
         for data in (seq, replayed):
             w_c = run_sequence(data)
-            w_g = run_sequence(data, "gd", gd_cfg)
+            w_g = run_sequence(data, "gd")
             worst = max(worst, float(np.linalg.norm(w_c - w_g)))
             # the same tasks through an iterative route with no SVD
             w_k = np.zeros(d)

@@ -22,6 +22,7 @@ from continual_replay import cli_harness, learner
 from continual_replay.cli_harness import _COMMANDS, _check_highdim_constraints, main
 from continual_replay.errors import ConsistencyFailure, InvalidParameters, NotConverged
 from continual_replay.metrics import expected_replay_forgetting_rank_one
+from continual_replay.task_gen import EPSILON_3D
 
 
 def _read_csv(path):
@@ -201,8 +202,8 @@ def test_other_library_errors_exit_3(monkeypatch, capsys):
 def test_fault_in_gd_lane_only_exits_3(argv, monkeypatch, capsys):
     # the closed-form lane passes its gates; the gradient-descent lane, which
     # returns the starting point, must fail its own
-    def run_sequence(seq, solver="closed_form", *rest):
-        w = learner.run_sequence(seq, solver, *rest)
+    def run_sequence(seq, solver="closed_form"):
+        w = learner.run_sequence(seq, solver)
         return w if solver == "closed_form" else np.zeros_like(w)
 
     monkeypatch.setattr(cli_harness, "run_sequence", run_sequence)
@@ -420,14 +421,29 @@ def test_replay_sweep_analytic_columns(tmp_path):
 def test_replay_sweep_gd_matches_closed(tmp_path):
     # one run carries both solver lanes; pair them by m
     out = tmp_path / "sweep.csv"
-    argv = ["replay-sweep", "--d", "3", "--m", "0,1", "--trials", "10", "--seed", "3"]
+    argv = ["replay-sweep", "--d", "3", "--m", "0,1,2", "--trials", "10", "--seed", "3"]
     assert main(argv + ["--out", str(out)]) == 0
     lanes = {(r["solver"], int(r["m"])): r for r in _read_csv(out)}
-    assert sorted(lanes) == [("closed_form", 0), ("closed_form", 1), ("gd", 0), ("gd", 1)]
-    for m in (0, 1):
+    assert sorted(lanes) == [(solver, m) for solver in ("closed_form", "gd") for m in (0, 1, 2)]
+    for m in (0, 1, 2):
         closed, gd = lanes["closed_form", m], lanes["gd", m]
-        assert abs(float(closed["mean_forgetting"]) - float(gd["mean_forgetting"])) <= 1e-3
-        assert float(gd["max_fit_residual"]) <= 1e-1
+        assert abs(float(closed["mean_forgetting"]) - float(gd["mean_forgetting"])) <= 1e-9
+        assert float(gd["max_fit_residual"]) <= 1e-11
+    # the memory spans task 1, so both lanes forget nothing
+    assert float(lanes["gd", 2]["mean_forgetting"]) <= 1e-12
+
+
+def test_replay_sweep_lane_gate_exits_3(monkeypatch, capsys):
+    # a gradient-descent lane shifted off the closed form fails the per-trial
+    # gate, and the message names the replay size
+    def run_sequence(seq, solver="closed_form"):
+        w = learner.run_sequence(seq, solver)
+        return w if solver == "closed_form" else w + 1e-3
+
+    monkeypatch.setattr(cli_harness, "run_sequence", run_sequence)
+    assert main(["replay-sweep", "--m", "1", "--trials", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("assertion failed: gd: m = 1, trial 0: ") and err.count("\n") == 1, err
 
 
 def test_angle_sweep_grid(tmp_path):
@@ -492,6 +508,9 @@ def test_oracles_command(tmp_path):
     names = {r["name"] for r in rows}
     assert {"min_norm_crosscheck", "claim_c2_ratio", "projector_sandwich"} <= names
     assert all(r["pass"] == "True" for r in rows)
+    # the claim-C2 statistic's exact mean, next to the 1.4 bound it checks
+    sidecar = json.loads((tmp_path / "oracles.config.json").read_text())
+    assert sidecar["analytic_predictions"]["claim_c2_exact_mean"] == 1 / (2 * EPSILON_3D)
 
 
 # One small, fast run per command.

@@ -438,8 +438,7 @@ def test_law_kernel_keeps_the_rotation_law_with_bartlett_blocks():
 def _normals_per_trial(k1, m, k2):
     # each block's Gaussian-row entries, or its Bartlett factor's entries
     # above the diagonal when it stands for more than k2 rows
-    blocks = (min(m, k1), k1 - min(m, k1))
-    return sum(n * k2 if n <= k2 else k2 * (k2 - 1) // 2 for n in blocks)
+    return sum(n * k2 if n <= k2 else k2 * (k2 - 1) // 2 for n in (m, k1 - m))
 
 
 @pytest.mark.parametrize(
@@ -454,12 +453,17 @@ def _normals_per_trial(k1, m, k2):
     ],
 )
 def test_law_kernel_draws_only_the_factor_normals(case, m, trials):
-    # the docstring's count, across chunk boundaries and for m >= k1; the chi
-    # variates come from a spawned child and leave rng's bits alone
+    # the docstring's count, across chunk boundaries; the chi variates come
+    # from a spawned child and leave rng's bits alone. For m >= k1 the value
+    # is exactly 0, and rng is untouched: no normals and no child.
     s1, s2, w_star = _replay_case(case)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
-    ref_rng.standard_normal((trials, _normals_per_trial(s1.rank, m, s2.rank)))
+    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
+    if m >= s1.rank:
+        assert res == {"mean": 0.0, "std_err": 0.0}
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    else:
+        ref_rng.standard_normal((trials, _normals_per_trial(s1.rank, m, s2.rank)))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
