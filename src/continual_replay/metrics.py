@@ -14,6 +14,7 @@ trace-form exact expectation over standard-normal targets.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -115,21 +116,33 @@ def expected_forgetting_closed_form(subspaces: list[Subspace], w_star) -> float:
     return total / (T - 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _zero_projector(d: int) -> Projector:
+    """The zero projector of R^d, built and validated once per d."""
+    return Projector(np.zeros((d, d)))
+
+
 def replay_null_projector(s2: Subspace, memory_rows) -> Projector:
     """Null projector of the second task after adding replay rows.
 
     The augmented range is the row span of [W2^T; rows], read from one thin
     SVD of that stack: the right singular vectors that pass ``rank_mask``
-    form U, and the result is I - U^T U (no iterative training). The
-    ``Projector`` validation (symmetric, idempotent, eigenvalues in {0, 1})
-    is the check on what this returns.
+    form U, and the result is I - U^T U (no iterative training). When all d
+    singular values pass, the replay fills the whole space and the result
+    is the exact zero projector of R^d, shared and validated once per d, so
+    no rounding noise of I - U^T U reaches it. Every other result is
+    validated on return by ``Projector`` (symmetric, idempotent,
+    eigenvalues in {0, 1}).
     """
     rows = as_matrix(memory_rows, "rows")
-    if rows.shape[1] != s2.ambient_dim:
+    d = s2.ambient_dim
+    if rows.shape[1] != d:
         raise DimensionMismatch("memory rows do not match the ambient dimension")
     _, s, vh = np.linalg.svd(np.vstack([s2.basis.T, rows]), full_matrices=False)
     U = vh[rank_mask(s)]
-    return Projector(np.eye(s2.ambient_dim) - U.T @ U)
+    if U.shape[0] == d:
+        return _zero_projector(d)
+    return Projector(np.eye(d) - U.T @ U)
 
 
 def _polar_factor(H: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import continual_replay
 from continual_replay import cli_harness, learner
 from continual_replay.cli_harness import _COMMANDS, _check_highdim_constraints, main
 from continual_replay.errors import ConsistencyFailure, InvalidParameters, NotConverged
+from continual_replay.linalg_core import Projector
 from continual_replay.metrics import expected_replay_forgetting_rank_one
 from continual_replay.task_gen import EPSILON_3D
 
@@ -499,6 +500,32 @@ def test_benign_check_d6_counts(tmp_path):
     rows = _read_csv(out)
     assert sum(r["certified"] == "True" for r in rows) == 135
     assert sum(int(r["violations"]) for r in rows) == 0
+    # a vacuous subset's value is exactly 0, so exactly the all-vacuous
+    # pairs have a worst gain of exactly -base_trace
+    exact = [
+        r
+        for r in rows
+        if r["certified"] == "True"
+        and float(r["worst_replay_gain"]) == -float(r["base_trace"])
+    ]
+    assert len(exact) == 74
+
+
+def test_benign_check_validates_the_zero_projector_once(monkeypatch):
+    # counted through Projector.__post_init__, as perfbench/tracer.py does
+    built = []
+    post_init = Projector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Projector, "__post_init__", counting)
+    result = cli_harness.cmd_benign_check(d=6, trials=20, seed=42)
+    vacuous = result.diagnostics["vacuous_subsets"]
+    checked = sum(row["subsets_checked"] for row in result.rows)
+    assert vacuous >= 2  # so one validation per subset would exceed the bound
+    assert len(built) <= checked - vacuous + 1
 
 
 def test_oracles_command(tmp_path):

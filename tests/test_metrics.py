@@ -680,10 +680,30 @@ def test_replay_null_projector_matches_subspace_route(d, null_dim, kind):
             rows = np.repeat(rng.standard_normal((1, d)), m, axis=0)
         got = replay_null_projector(s2, rows).matrix
         want = _replay_null_projector_reference(s2, rows).matrix
-        assert np.array_equal(got, want), (m, np.abs(got - want).max())
+        if orthonormal_basis(np.vstack([s2.basis.T, rows])).rank == d:
+            # full span: the exact zero, where I - U U^T leaves rounding noise
+            # of 1 minus a sum of d squares (at most 6 ulps here, at d = 6)
+            assert np.array_equal(got, np.zeros((d, d))), m
+            assert np.abs(want).max() <= 2 * d * np.finfo(float).eps, (m, np.abs(want).max())
+        else:
+            assert np.array_equal(got, want), (m, np.abs(got - want).max())
         assert (got.trace() < 0.5) == (want.trace() < 0.5)
         if kind == "random":
             assert (got.trace() < 0.5) == (k2 + m >= d)
+
+
+def test_full_span_replay_shares_one_zero_projector():
+    rng = np.random.default_rng(5)
+    s2 = orthonormal_basis(rng.standard_normal((4, 6)))
+    first = replay_null_projector(s2, rng.standard_normal((2, 6)))
+    assert replay_null_projector(s2, rng.standard_normal((3, 6))) is first
+    assert np.array_equal(first.matrix, np.zeros((6, 6)))
+    assert not first.matrix.flags.writeable
+    other = replay_null_projector(
+        orthonormal_basis(rng.standard_normal((3, 5))), rng.standard_normal((2, 5))
+    )
+    assert other is not first
+    assert np.array_equal(other.matrix, np.zeros((5, 5)))
 
 
 def test_replay_null_projector_rejects_bad_rows():
