@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentSystem, InvalidParameters
+from .errors import DimensionMismatch, InconsistentSystem, InvalidParameters
 from .linalg_core import as_matrix, as_vector
 
 CLAIM_C2_BOUND = 1.4
@@ -63,15 +63,16 @@ def oracle_min_norm(X, y, w_prev) -> np.ndarray:
     independent of the pseudoinverse. K roughly squares X's conditioning, so
     one step of iterative refinement on the same system follows the solve:
     a 9 x 9 X with condition number 9.3e4 left w 5.4e-8 from the SVD route
-    without it and 8.6e-13 with it. Raises InconsistentSystem when the
-    constraints cannot be met.
+    without it and 8.6e-13 with it. Raises DimensionMismatch when the shapes
+    of X, y and w_prev disagree, and InconsistentSystem when the constraints
+    cannot be met.
     """
     X = as_matrix(X, "X")
     y = as_vector(y, "y")
     w_prev = as_vector(w_prev, "w_prev")
     n, d = X.shape
     if y.shape[0] != n or w_prev.shape[0] != d:
-        raise InconsistentSystem("shape mismatch between X, y, w_prev")
+        raise DimensionMismatch("shape mismatch between X, y, w_prev")
     K = np.zeros((d + n, d + n))
     K[:d, :d] = np.eye(d)
     K[:d, d:] = X.T

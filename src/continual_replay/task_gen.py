@@ -93,26 +93,16 @@ class TaskSequence:
         return len(self.tasks)
 
 
-def _unit_filler(basis_tail: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One random unit-norm row inside span(columns of basis_tail).
-
-    A zero-norm draw has probability 0; its NaN row would fail ``Task``'s
-    finiteness check.
-    """
-    row = basis_tail @ rng.standard_normal(basis_tail.shape[1])
-    return row / np.linalg.norm(row)
-
-
 def make_worst_case(T: int, d: int) -> TaskSequence:
     """The three-vector sequence whose forgetting does not fade with T.
 
-    Tasks 1..T-2 constrain x1 (plus, for d > 3, one random unit filler row
-    inside span{v4..vd} each, drawn from a fixed ``default_rng(0)`` stream);
-    task T-1 constrains x1 and x2; the final task constrains x3 together
-    with rows spanning span{v4..vd}. All rows have unit norm. The target
-    is w* = v2, whose component along the forgotten direction
-    u = sqrt(6/7) v2 - sqrt(1/7) v3 is a = sqrt(6/7). The designated replay
-    sample is x2, row 1 of task T-1, with its label.
+    Tasks 1..T-2 constrain x1 and the filler v4 (absent at d = 3); task T-1
+    constrains x1 and x2; the final task constrains x3 and v4..vd. The
+    filler lies inside the final task's span, so it changes no forgetting
+    value, but a uniform replay memory can draw it. All rows have
+    unit norm. The target is w* = v2, whose component along the forgotten
+    direction u = sqrt(6/7) v2 - sqrt(1/7) v3 is a = sqrt(6/7). The
+    designated replay sample is x2, row 1 of task T-1, with its label.
 
     Args:
         T: number of tasks, at least 2.
@@ -122,30 +112,13 @@ def make_worst_case(T: int, d: int) -> TaskSequence:
         raise InvalidParameters(f"worst case needs d >= 3, got {d}")
     if T < 2:
         raise InvalidParameters(f"worst case needs T >= 2, got {T}")
-    rng = np.random.default_rng(0)
-    basis = np.eye(d)
-    v1, v2, v3 = basis[:, 0], basis[:, 1], basis[:, 2]
-    tail = basis[:, 3:]
-
-    x1 = v1
-    x2 = (1.0 / (2.0 * math.sqrt(2.0))) * (v1 + v2) + (math.sqrt(3.0) / 2.0) * v3
-    x3 = v3
+    eye = np.eye(d)  # row i is v_{i+1}
+    x1, v2, x3 = eye[0], eye[1], eye[2]
+    x2 = (1.0 / (2.0 * math.sqrt(2.0))) * (x1 + v2) + (math.sqrt(3.0) / 2.0) * x3
     w_star = v2
-
-    tasks = []
-    for _ in range(T - 2):
-        rows = [x1]
-        if d > 3:
-            rows.append(_unit_filler(tail, rng))
-        X = np.vstack(rows)
-        tasks.append(Task(X, X @ w_star))
-    X_pen = np.vstack([x1, x2])
-    tasks.append(Task(X_pen, X_pen @ w_star))
-    final_rows = [x3] + [tail[:, j] for j in range(d - 3)]
-    X_fin = np.vstack(final_rows)
-    tasks.append(Task(X_fin, X_fin @ w_star))
-
-    return TaskSequence(tuple(tasks), w_star)
+    early = eye[[0, *range(3, min(d, 4))]]  # x1, then v4 when d > 3
+    rows = [early] * (T - 2) + [np.vstack([x1, x2]), eye[[2, *range(3, d)]]]
+    return TaskSequence(tuple(Task(X, X @ w_star) for X in rows), w_star)
 
 
 def make_avg_case_highdim(d: int, epsilon: float) -> tuple[Subspace, Subspace, np.ndarray]:

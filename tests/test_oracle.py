@@ -9,7 +9,7 @@ import pytest
 
 from continual_replay import oracle
 from continual_replay.cli_harness import main
-from continual_replay.errors import InconsistentSystem, InvalidParameters
+from continual_replay.errors import DimensionMismatch, InconsistentSystem, InvalidParameters
 from continual_replay.learner import fit_closed_form
 from continual_replay.linalg_core import min_norm_solve
 from continual_replay.oracle import (
@@ -89,6 +89,15 @@ def test_oracle_min_norm_inconsistent():
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(InconsistentSystem):
         oracle_min_norm(X, np.array([0.0, 1.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("y_len,w_len", [(3, 3), (2, 2)])
+def test_oracle_min_norm_shape_mismatch_is_a_dimension_error(y_len, w_len):
+    # a 2 x 3 X with a wrong-length y, then with a wrong-length w_prev: the
+    # shapes disagree, which says nothing about whether a solution exists
+    X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(DimensionMismatch, match="shape mismatch"):
+        oracle_min_norm(X, np.ones(y_len), np.zeros(w_len))
 
 
 # ------------------------------------------------------------ ratio statistic

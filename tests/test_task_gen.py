@@ -53,6 +53,21 @@ def test_worst_case_errors():
         make_worst_case(1, 3)
 
 
+@pytest.mark.parametrize("T,d", [(2, 3), (5, 3), (5, 6)])
+def test_worst_case_is_written_from_identity_rows(T, d):
+    seq = make_worst_case(T, d)
+    eye = np.eye(d)
+    # tasks 1..T-2 hold x1 and the filler v4 (x1 alone at d = 3)
+    for task in seq.tasks[: T - 2]:
+        assert np.array_equal(task.X, eye[[0, 3]] if d > 3 else eye[[0]])
+    assert np.array_equal(seq.tasks[-1].X, eye[[2, *range(3, d)]])
+    # the construction draws nothing, so two builds agree bit for bit
+    again = make_worst_case(T, d)
+    assert np.array_equal(seq.w_star, again.w_star)
+    for task, twin in zip(seq.tasks, again.tasks, strict=True):
+        assert np.array_equal(task.X, twin.X) and np.array_equal(task.y, twin.y)
+
+
 def test_worst_case_final_task_spans_complement():
     seq = make_worst_case(4, 6)
     last = seq.tasks[-1]
