@@ -408,10 +408,11 @@ def cmd_benign_check(d: int, trials: int, seed: int) -> ExperimentResult:
         worst_gain = -math.inf
         if cert["certified"]:
             vacuous = 0
+            W1t, root = s1.basis.T, math.sqrt(s1.rank)
             for _ in range(subsets):
                 m = 1 + int(rng.integers(0, s1.rank))
-                Z = rng.standard_normal((m, s1.rank)) / math.sqrt(s1.rank)
-                proj = replay_null_projector(s2, Z @ s1.basis.T)
+                Z = rng.standard_normal((m, s1.rank)) / root
+                proj = replay_null_projector(s2, Z @ W1t)
                 if proj.matrix.trace() < 0.5:
                     vacuous += 1
                 val = expected_forgetting_trace_form(s1, s2, proj)

@@ -70,7 +70,8 @@ def forgetting_test_mean(
     Vectorized: a fresh row W z contributes (z . W^T(w - w*))^2, so a task's
     sum is ||Z_t c_t||^2 with c_t = W_t^T (w - w*) and Z_t a
     k_t x k_t matrix of N(0, 1/k_t) entries. Returns {"mean", "std_err"} of
-    the per-draw values.
+    the per-draw values. Raises ``DimensionMismatch``, before any draw, when
+    w, w* and the subspaces' ambient dimension disagree.
     """
     T = len(subspaces)
     if T < 2:
@@ -79,6 +80,10 @@ def forgetting_test_mean(
         raise InvalidParameters("trials must be >= 1")
     w = as_vector(w, "w")
     w_star = as_vector(w_star, "w_star")
+    if w.shape != w_star.shape:
+        raise DimensionMismatch("w and w_star have different lengths")
+    if any(s.ambient_dim != w.shape[0] for s in subspaces):
+        raise DimensionMismatch("subspace ambient dims disagree with w")
     delta = w - w_star
     coords = [(s.basis.T @ delta, s.rank) for s in subspaces[:-1]]
     values = np.zeros(trials)
@@ -125,23 +130,32 @@ def _zero_projector(d: int) -> Projector:
 def replay_null_projector(s2: Subspace, memory_rows) -> Projector:
     """Null projector of the second task after adding replay rows.
 
-    The augmented range is the row span of [W2^T; rows], read from one thin
-    SVD of that stack: the right singular vectors that pass ``rank_mask``
-    form U, and the result is I - U^T U (no iterative training). When all d
-    singular values pass, the replay fills the whole space and the result
-    is the exact zero projector of R^d, shared and validated once per d, so
-    no rounding noise of I - U^T U reaches it. Every other result is
-    validated on return by ``Projector`` (symmetric, idempotent,
-    eigenvalues in {0, 1}).
+    The augmented range is the row span of the stack [W2^T; rows], decided
+    in this order:
+
+    1. A stack of d or more rows first gets its singular values alone
+       (``compute_uv=False``). When ``rank_mask`` keeps all d of them, the
+       replay fills the whole space and the result is the exact zero
+       projector of R^d, shared and validated once per d, so no rounding
+       noise of I - U^T U reaches it and no singular vector is computed.
+    2. Any other stack gets one thin SVD: the right singular vectors that
+       pass ``rank_mask`` form U, and the result is I - U^T U (no
+       iterative training), validated on return by ``Projector``
+       (symmetric, idempotent, eigenvalues in {0, 1}).
+
+    So a call runs one SVD, and two only when a stack of d or more rows
+    falls short of R^d (repeated or dependent rows); a stack of fewer than
+    d rows cannot span R^d and skips step 1.
     """
     rows = as_matrix(memory_rows, "rows")
     d = s2.ambient_dim
     if rows.shape[1] != d:
         raise DimensionMismatch("memory rows do not match the ambient dimension")
-    _, s, vh = np.linalg.svd(np.vstack([s2.basis.T, rows]), full_matrices=False)
-    U = vh[rank_mask(s)]
-    if U.shape[0] == d:
+    stack = np.concatenate([s2.basis.T, rows])
+    if stack.shape[0] >= d and rank_mask(np.linalg.svd(stack, compute_uv=False)).all():
         return _zero_projector(d)
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    U = vh[rank_mask(s)]
     return Projector(np.eye(d) - U.T @ U)
 
 
@@ -244,7 +258,9 @@ def expected_replay_forgetting_two_tasks(
     rounding only, gives the same values from the same seed, also where B
     has repeated singular values. For m >= k1 the memory spans task 1, so
     every value is exactly 0: the call returns a mean and standard error of
-    0 without touching ``rng``.
+    0 without touching ``rng``. A rank-0 second task runs the general path
+    on empty factors (no normals, no child stream) and gives the exact 0 on
+    every trial: the memory lies in span W1, and q is orthogonal to it.
 
     For m < k1, a call consumes exactly trials * n standard normals from
     ``rng``, the same stream as one ``rng.standard_normal((trials, n))``,
@@ -295,7 +311,7 @@ def expected_replay_forgetting_two_tasks(
         R[:, normal_slots] = rng.standard_normal((size, normal_slots.size))
         if chi_rng is not None:
             R[:, chi_slots] = np.sqrt(chi_rng.chisquare(dof, (size, dof.size)))
-        H = (R.reshape(size * rows, k2) @ V).reshape(size, rows, -1)
+        H = (R.reshape(size * rows, k2) @ V).reshape(size, rows, V.shape[1])
         values[start : start + size] = _replay_values(H, split, SVt, C0tC0, c)
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -391,6 +407,12 @@ def expected_forgetting_trace_form(
     are their squared sines, the same angles read against task 1's
     complement (Halmos 1969). x - x^2 takes the same value at x and 1 - x,
     and the eigenvalues 0 and 1 add nothing.
+
+    Order of work: the dimension checks, then G (a vacuous replay's zero
+    projector gives G = 0 and the value exactly 0.0), then the two
+    reductions as ndarray methods, ``G.trace()`` and ``(G * G).sum()``:
+    the same sums as ``np.trace`` and ``np.sum``, so the same bits, without
+    numpy's function dispatch.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("task subspaces live in different dimensions")
@@ -402,4 +424,4 @@ def expected_forgetting_trace_form(
         if replay_projector.ambient_dim != s1.ambient_dim:
             raise DimensionMismatch("replay projector dimension mismatch")
         G = W1.T @ replay_projector.matrix @ W1
-    return float(np.trace(G) - np.sum(G * G))
+    return float(G.trace() - (G * G).sum())

@@ -21,8 +21,11 @@ import continual_replay
 from continual_replay import cli_harness, learner
 from continual_replay.cli_harness import _COMMANDS, _check_highdim_constraints, main
 from continual_replay.errors import ConsistencyFailure, InvalidParameters, NotConverged
-from continual_replay.linalg_core import Projector
-from continual_replay.metrics import expected_replay_forgetting_rank_one
+from continual_replay.linalg_core import Projector, orthonormal_basis, rank_mask
+from continual_replay.metrics import (
+    benign_replay_certificate,
+    expected_replay_forgetting_rank_one,
+)
 from continual_replay.task_gen import EPSILON_3D
 
 
@@ -509,6 +512,74 @@ def test_benign_check_d6_counts(tmp_path):
         and float(r["worst_replay_gain"]) == -float(r["base_trace"])
     ]
     assert len(exact) == 74
+
+
+def _benign_check_reference_route(d, trials, seed):
+    # The subset loop as it stood before one SVD per subset: np.vstack, one
+    # thin SVD, the exact zero when every singular value passes, and the
+    # trace form through np.trace / np.sum. Same draws in the same order.
+    def trace_form(G):
+        return float(np.trace(G) - np.sum(G * G))
+
+    rows, vacuous_subsets, pairs_all_vacuous = [], 0, 0
+    for i in range(trials):
+        rng = cli_harness._stream(seed, "benign-check", i)
+        k1 = d - int(rng.integers(1, 3))
+        k2 = d - int(rng.integers(1, 3))
+        s1 = orthonormal_basis(rng.standard_normal((k1, d)))
+        s2 = orthonormal_basis(rng.standard_normal((k2, d)))
+        cert = benign_replay_certificate(s1, s2)
+        B = s1.basis.T @ s2.basis
+        base = trace_form(np.eye(s1.rank) - B @ B.T)
+        checked = violations = 0
+        worst_gain = -math.inf
+        if cert["certified"]:
+            vacuous = 0
+            for _ in range(50):
+                m = 1 + int(rng.integers(0, s1.rank))
+                Z = rng.standard_normal((m, s1.rank)) / math.sqrt(s1.rank)
+                stack = np.vstack([s2.basis.T, Z @ s1.basis.T])
+                _, sv, vh = np.linalg.svd(stack, full_matrices=False)
+                U = vh[rank_mask(sv)]
+                P = np.zeros((d, d)) if U.shape[0] == d else np.eye(d) - U.T @ U
+                vacuous += int(P.trace() < 0.5)
+                val = trace_form(s1.basis.T @ P @ s1.basis)
+                worst_gain = max(worst_gain, val - base)
+                violations += int(val > base + 1e-12)
+            checked = 50
+            vacuous_subsets += vacuous
+            pairs_all_vacuous += int(vacuous == 50)
+        rows.append(
+            {
+                "pair": i,
+                "rank1": k1,
+                "rank2": k2,
+                "op_norm": cert["op_norm_value"],
+                "certified": cert["certified"],
+                "base_trace": base,
+                "worst_replay_gain": worst_gain if checked else float("nan"),
+                "subsets_checked": checked,
+                "violations": violations,
+            }
+        )
+    diagnostics = {"vacuous_subsets": vacuous_subsets, "pairs_all_vacuous": pairs_all_vacuous}
+    return rows, diagnostics
+
+
+def _bits(rows):
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()} for r in rows]
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_benign_check_matches_the_reference_route_bit_for_bit(d, seed):
+    result = cli_harness.cmd_benign_check(d=d, trials=30, seed=seed)
+    rows, diagnostics = _benign_check_reference_route(d, 30, seed)
+    assert _bits(result.rows) == _bits(rows)
+    assert result.diagnostics == diagnostics
+    # both kinds of subset are reached, so neither branch is compared vacuously
+    checked = sum(r["subsets_checked"] for r in rows)
+    assert 0 < diagnostics["vacuous_subsets"] < checked, (d, seed)
 
 
 def test_benign_check_validates_the_zero_projector_once(monkeypatch):

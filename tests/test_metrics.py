@@ -124,6 +124,18 @@ def test_fresh_sample_forms_need_two_tasks_and_a_trial():
         forgetting_test_mean([s1, s2], p1, p1, 0, np.random.default_rng(0))
 
 
+def test_forgetting_test_mean_checks_dimensions():
+    # the shape checks come before any draw, as in the closed form
+    rng = np.random.default_rng(0)
+    s4 = orthonormal_basis(rng.standard_normal((2, 4)))
+    s3 = orthonormal_basis(rng.standard_normal((1, 3)))
+    w3 = rng.standard_normal(3)
+    with pytest.raises(DimensionMismatch):
+        forgetting_test_mean([s4, s3], w3, w3, 10, rng)
+    with pytest.raises(DimensionMismatch):
+        forgetting_test_mean([s3, s3], w3, rng.standard_normal(4), 10, rng)
+
+
 def test_forgetting_test_mean_working_set_is_bounded():
     # One 2000 x 40 x 40 block of normals would take 25.6 MB; pieces of
     # _TEST_PIECE_ENTRIES normals keep the peak near 1 MiB.
@@ -571,6 +583,21 @@ def test_replay_expectation_validates():
         )
 
 
+@pytest.mark.parametrize("d,k1,m,trials", [(3, 2, 1, 10), (9, 5, 3, 1), (9, 5, 4, 5000)])
+def test_replay_kernel_rank_zero_second_task_is_exactly_zero(d, k1, m, trials):
+    # the memory lies in span W1 and q = P_1 w* is orthogonal to it, so every
+    # trial's value is exactly 0; empty factors draw nothing
+    rng = np.random.default_rng(d + m)
+    s1 = orthonormal_basis(rng.standard_normal((k1, d)))
+    w_star = rng.standard_normal(d)
+    state = rng.bit_generator.state
+    s2 = Subspace(np.zeros((d, 0)))
+    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, trials, rng)
+    assert res == {"mean": 0.0, "std_err": 0.0}
+    assert rng.bit_generator.state == state
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
 def test_highdim_no_replay_closed_form():
     d, eps = 30, 0.4
     s1, s2, u_perp = make_avg_case_highdim(d, eps)
@@ -704,6 +731,40 @@ def test_full_span_replay_shares_one_zero_projector():
     )
     assert other is not first
     assert np.array_equal(other.matrix, np.zeros((5, 5)))
+
+
+@pytest.mark.parametrize(
+    "kind,m,want",
+    [
+        ("random", 2, {"spectrum": 1, "thin": 0}),  # 4 + 2 rows span R^6
+        ("random", 1, {"spectrum": 0, "thin": 1}),  # 5 rows cannot span R^6
+        ("repeated", 4, {"spectrum": 1, "thin": 1}),  # 8 rows of rank 5
+    ],
+)
+def test_replay_null_projector_runs_one_svd_where_one_suffices(monkeypatch, kind, m, want):
+    rng = np.random.default_rng(31)
+    s2 = orthonormal_basis(rng.standard_normal((4, 6)))
+    if kind == "random":
+        rows = rng.standard_normal((m, 6))
+    else:
+        rows = np.repeat(rng.standard_normal((1, 6)), m, axis=0)
+    calls = {"spectrum": 0, "thin": 0}
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls["spectrum" if kwargs.get("compute_uv") is False else "thin"] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    got = replay_null_projector(s2, rows)
+    assert calls == want
+    monkeypatch.undo()
+    if want["thin"]:
+        want_matrix = _replay_null_projector_reference(s2, rows).matrix
+        assert np.array_equal(got.matrix, want_matrix)
+        assert got.matrix.trace() > 0.5
+    else:
+        assert got is metrics._zero_projector(6)
 
 
 def test_replay_null_projector_rejects_bad_rows():
