@@ -70,20 +70,17 @@ def fit_gd(w_prev, task: Task, *, epochs: int = GD_EPOCHS) -> np.ndarray:
         raise DimensionMismatch("w_prev dimension does not match the task")
     X, y = task.X, task.y
     U, svals, Vt = np.linalg.svd(X, full_matrices=False)
-    gram_top = float(svals.max(initial=0.0)) ** 2
-    if gram_top == 0.0:
-        # No rows or all-zero rows constrain nothing; consistency was checked.
-        return w_prev.copy()
-    lr = 1.0 / gram_top
     # Every s > 0 counts: gradient descent moves along tiny directions too.
     keep = svals > 0
     s = svals[keep]
-    step = lr * s * s
     # 1 - (1 - step)^K rounds away its digits where step is tiny, so it is
     # -expm1(K log1p(-step)). Exactly, step <= 1, but lr * s_max^2 can round
     # to just above 1; capped at 1, log1p gives -inf and the gain is 1/s.
-    # K enters as a float: 10**20 does not fit an int64.
+    # K enters as a float: 10**20 does not fit an int64. No rows or all-zero
+    # rows give lr = inf and no spectrum: w stays put and the residual decides.
     with np.errstate(divide="ignore"):
+        lr = 1.0 / np.square(svals.max(initial=0.0))
+        step = lr * s * s
         gain = -np.expm1(float(epochs) * np.log1p(-np.minimum(step, 1.0))) / s
     w = w_prev + Vt[keep].T @ (gain * (U[:, keep].T @ (y - X @ w_prev)))
     residual = float(np.linalg.norm(X @ w - y))

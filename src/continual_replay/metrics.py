@@ -39,11 +39,6 @@ _REPLAY_CHUNK = 4096
 _REPLAY_CHUNK_ENTRIES = 2**16
 # Gauss-Legendre nodes per panel of the exact rank-one replay value.
 _QUAD_NODES = 32
-# Draws per block in forgetting_test_mean; the block decides which normals
-# go to which task. Each task's part of a block is drawn in pieces of at most
-# _TEST_PIECE_ENTRIES normals (512 KB), which never shows in the output.
-_TEST_CHUNK = 20000
-_TEST_PIECE_ENTRIES = 2**16
 
 
 def forgetting_train(seq: TaskSequence, w) -> float:
@@ -51,6 +46,8 @@ def forgetting_train(seq: TaskSequence, w) -> float:
     if len(seq) < 2:
         raise TooFewTasks("forgetting needs at least two tasks")
     w = as_vector(w, "w")
+    if w.shape[0] != seq.ambient_dim:
+        raise DimensionMismatch("w dimension does not match the tasks")
     losses = [task.residual(w) ** 2 for task in seq.tasks[:-1]]
     return sum(losses) / len(losses)
 
@@ -67,11 +64,12 @@ def forgetting_test_mean(
     Each draw takes k_t new rows from each of the first T-1 task subspaces
     under ``sample_task``'s law, sums the squared residuals of w over each
     task's k_t rows, and averages those sums over the tasks.
-    Vectorized: a fresh row W z contributes (z . W^T(w - w*))^2, so a task's
-    sum is ||Z_t c_t||^2 with c_t = W_t^T (w - w*) and Z_t a
-    k_t x k_t matrix of N(0, 1/k_t) entries. Returns {"mean", "std_err"} of
-    the per-draw values. Raises ``DimensionMismatch``, before any draw, when
-    w, w* and the subspaces' ambient dimension disagree.
+    No row is drawn: a fresh row W z with z ~ N(0, I / k_t) adds (z . c_t)^2,
+    c_t = W_t^T (w - w*), so a task's sum is ||c_t||^2 / k_t times chi^2_k_t:
+    one ``rng.gamma(k_t / 2, 2, trials)``, the bits of ``rng.chisquare``; a
+    rank-0 task draws nothing and adds 0. Returns {"mean", "std_err"} of the
+    per-draw values. Raises ``DimensionMismatch``, before any draw, when w,
+    w* and the subspaces' ambient dimension disagree.
     """
     T = len(subspaces)
     if T < 2:
@@ -85,16 +83,11 @@ def forgetting_test_mean(
     if any(s.ambient_dim != w.shape[0] for s in subspaces):
         raise DimensionMismatch("subspace ambient dims disagree with w")
     delta = w - w_star
-    coords = [(s.basis.T @ delta, s.rank) for s in subspaces[:-1]]
     values = np.zeros(trials)
-    for start in range(0, trials, _TEST_CHUNK):
-        block = values[start : start + _TEST_CHUNK]
-        for c, k in coords:
-            rows = max(1, _TEST_PIECE_ENTRIES // max(1, k * k))
-            for lo in range(0, block.size, rows):
-                Z = rng.standard_normal((min(rows, block.size - lo), k, k)) / math.sqrt(k)
-                block[lo : lo + rows] += np.sum(np.einsum("ijk,k->ij", Z, c) ** 2, axis=1)
-        block /= T - 1
+    for s in subspaces[:-1]:
+        scale = float(np.sum((s.basis.T @ delta) ** 2)) / max(s.rank, 1)
+        values += scale * rng.gamma(s.rank / 2, 2.0, trials)
+    values /= T - 1
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return {"mean": mean, "std_err": std_err}
@@ -364,7 +357,9 @@ def expected_replay_forgetting_rank_one(k1: int, m: int, epsilon: float) -> floa
         + (m - 1) * np.log(cos)
     )
     t = cos_eps * sin / epsilon  # the value is (t / (1 + t^2))^2
-    value = 1.0 / (t + 1.0 / t) ** 2
+    # Past t = 1e154 the square overflows; the value there, below any normal float, is 0.
+    with np.errstate(over="ignore"):
+        value = 1.0 / (t + 1.0 / t) ** 2
     return float(np.sum(half * w * np.exp(log_density) * value))
 
 

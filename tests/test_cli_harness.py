@@ -483,6 +483,39 @@ def test_avg_case_highdim_report(tmp_path):
     assert float(row["replay_mean"]) > float(row["no_replay_analytic"])
 
 
+@pytest.mark.parametrize("command, d", [("avg-case-3d", 3), ("avg-case-highdim", 152)])
+def test_avg_case_sidecar_carries_the_exact_replay_value(command, d, tmp_path):
+    # at the defaults the estimate sits within 4.9 standard errors of the
+    # rank-one Beta integral it estimates
+    out = tmp_path / "run.csv"
+    assert main([command, "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    sidecar = json.loads((tmp_path / "run.config.json").read_text())
+    params, exact = sidecar["params"], sidecar["analytic_predictions"]["replay_exact"]
+    assert exact == expected_replay_forgetting_rank_one(d - 1, params["m"], params["epsilon"])
+    z = (float(row["replay_mean"]) - exact) / float(row["replay_std_err"])
+    assert abs(z) <= 4.9, z
+
+
+@pytest.mark.parametrize("epsilon", ["1e-155", "1e-161"])
+def test_tiny_epsilon_runs_with_warnings_as_errors(epsilon):
+    # Past t = 1e154 the rank-one integrand's square overflows, where the
+    # value is 0; no warning may turn a run into exit 1 under -W error.
+    env = dict(os.environ, PYTHONPATH=str(Path(continual_replay.__file__).parents[1]))
+    python = [sys.executable, "-W", "error", "-O", "-m", "continual_replay"]
+    for argv in (
+        ["replay-sweep", "--d", "3", "--m", "1", "--trials", "3"],
+        ["avg-case-3d", "--trials", "1000"],
+    ):
+        proc = subprocess.run(
+            [*python, *argv, "--epsilon", epsilon],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_benign_check_small(tmp_path):
     out = tmp_path / "benign.csv"
     assert main(["benign-check", "--d", "5", "--trials", "40", "--out", str(out)]) == 0
@@ -703,7 +736,7 @@ FUZZ_VALUES = {
     "--T": SMALL_INT,
     "--d": SMALL_INT,
     "--epsilon": st.sampled_from(
-        ["-0.5", "0", "1e-200", "0.1", "0.4", "0.9", "1.5", "nan", "inf"]
+        ["-0.5", "0", "1e-200", "1e-155", "0.1", "0.4", "0.9", "1.5", "nan", "inf"]
     ),
     "--m": st.sampled_from(["0", "1", "2", "3", "10", "-1", "0,1", "0,1,2", "1,x", ""]),
     "--seed": st.sampled_from(["-1", "0", "7", "x"]),  # worst-case, angle-sweep: unread

@@ -49,6 +49,12 @@ def test_forgetting_train_requires_two_tasks():
         )
 
 
+def test_forgetting_train_checks_dimensions():
+    seq = make_worst_case(3, 3)
+    with pytest.raises(DimensionMismatch):
+        forgetting_train(seq, np.zeros(4))
+
+
 # ---------------------------------------------------- worst-case constants
 
 
@@ -99,17 +105,53 @@ def test_worst_case_rotation_invariance():
 # ----------------------------------------------------- fresh-sample variant
 
 
+def _fresh_rows_reference(subspaces, w, w_star, trials, rng):
+    # Reference route for forgetting_test_mean's chi^2 law: each draw takes
+    # k_t fresh rows W_t z, z ~ N(0, I / k_t), from every earlier task and
+    # sums their squared residuals; 500 draws at a time.
+    values = np.zeros(trials)
+    for s in subspaces[:-1]:
+        k = s.rank
+        for lo in range(0, trials, 500):
+            n = min(500, trials - lo)
+            rows = rng.standard_normal((n, k, k)) @ s.basis.T / math.sqrt(max(k, 1))
+            values[lo : lo + n] += np.sum((rows @ w - rows @ w_star) ** 2, axis=1)
+    values /= len(subspaces) - 1
+    return {"mean": values.mean(), "std_err": values.std(ddof=1) / math.sqrt(trials)}
+
+
+def _assert_matches_closed_form(route):
+    # three cases, among them a rank-0 task and k = 40, each within 4.9
+    # standard errors of the exact expectation
+    for d, ranks in ((6, (2, 3, 1)), (5, (2, 0, 3)), (41, (40, 1))):
+        rng = np.random.default_rng(1)
+        subs = [orthonormal_basis(rng.standard_normal((k, d))) for k in ranks]
+        w_star = rng.standard_normal(d)
+        w = run_sequence_from(subs, w_star)
+        exact = expected_forgetting_closed_form(subs, w_star)
+        res = route(subs, w, w_star, 4000, np.random.default_rng(2))
+        assert abs(res["mean"] - exact) <= 4.9 * res["std_err"], (ranks, res, exact)
+
+
 def test_forgetting_test_mean_matches_closed_form():
+    _assert_matches_closed_form(forgetting_test_mean)
+
+
+def test_fresh_rows_reference_matches_closed_form():
+    _assert_matches_closed_form(_fresh_rows_reference)
+
+
+def test_forgetting_test_mean_draws_one_chi_square_per_task():
+    # one task's k fresh rows sum to ||W^T (w - w*)||^2 / k times chi^2_k
     rng = np.random.default_rng(1)
-    subs = [orthonormal_basis(rng.standard_normal((k, 6))) for k in (2, 3, 1)]
-    w_star = rng.standard_normal(6)
-    w = run_sequence_from(subs, w_star)
-    exact = expected_forgetting_closed_form(subs, w_star)
-    res = forgetting_test_mean(subs, w, w_star, 40000, np.random.default_rng(2))
-    assert abs(res["mean"] - exact) <= 3.0 * res["std_err"]
+    s1, s2 = (orthonormal_basis(rng.standard_normal((k, 6))) for k in (3, 2))
+    w, w_star = rng.standard_normal(6), rng.standard_normal(6)
+    res = forgetting_test_mean([s1, s2], w, w_star, 1000, np.random.default_rng(2))
+    scale = float(np.sum((s1.basis.T @ (w - w_star)) ** 2)) / 3
+    values = scale * np.random.default_rng(2).chisquare(3, 1000)
+    assert res["mean"] == float(values.mean())
     # at w = w* no fresh sample sees a residual
-    at_star = forgetting_test_mean(subs, w_star, w_star, 100, np.random.default_rng(0))
-    assert at_star["mean"] <= 1e-20
+    assert forgetting_test_mean([s1, s2], w_star, w_star, 100, rng)["mean"] == 0.0
 
 
 def test_fresh_sample_forms_need_two_tasks_and_a_trial():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continual_replay.errors import DimensionMismatch, InconsistentSystem
+from continual_replay.errors import DimensionMismatch, InconsistentSystem, NotConverged
 from continual_replay.learner import (
     augment_with_replay,
     fit_closed_form,
@@ -68,6 +68,12 @@ def _fits_without_constraining_rows(rng):
         for fit in (fit_closed_form, fit_gd):
             w = fit(w_prev, task)
             assert np.array_equal(w, w_prev) and w is not w_prev, (fit.__name__, n)
+    # all-zero rows with nonzero labels have no solution on either lane
+    inconsistent = Task(np.zeros((3, D)), np.ones(3))
+    with pytest.raises(InconsistentSystem):
+        fit_closed_form(w_prev, inconsistent)
+    with pytest.raises(NotConverged):
+        fit_gd(w_prev, inconsistent)
 
 
 def _min_norm_solve_all_zero_x(rng):
