@@ -30,15 +30,36 @@ from .linalg_core import (
 )
 from .task_gen import TaskSequence
 
-# Trials per chunk in the replay Monte Carlo kernel. A trial fills a factor R
-# of rows <= 2 * k2 rows and keeps a few rows x r and k2 x k2 arrays
-# (r <= k2), so a chunk is also capped at
-# _REPLAY_CHUNK_ENTRIES // (k2 * max(rows, k2)) trials: each array stays
-# near 0.5 MB. A chunk holds at least one trial.
-_REPLAY_CHUNK = 4096
-_REPLAY_CHUNK_ENTRIES = 2**16
-# Gauss-Legendre nodes per panel of the exact rank-one replay value.
-_QUAD_NODES = 32
+# Factor entries per chunk of the replay Monte Carlo kernel. A trial fills
+# rows <= 2 * k2 factor rows of k2 entries and keeps a few rows x r and
+# k2 x k2 arrays (r <= k2), so a chunk holds
+# _REPLAY_CHUNK_ENTRIES // (k2 * max(rows, k2)) trials, at least one, and
+# each array stays near 64 kB. At k2 = 1 with two factor rows that is 4096.
+_REPLAY_CHUNK_ENTRIES = 2**13
+# The non-negative half of the 32-point Gauss-Legendre rule on [-1, 1],
+# ascending, with its weights: the bits of numpy's legendre.leggauss(32), whose
+# rule is symmetric, so _legendre_rule mirrors it without importing numpy's
+# polynomial package.
+_LEGENDRE_NODES = tuple(map(float.fromhex, """
+    0x1.8bbc8488cc49ap-5 0x1.27e0ea717f237p-3 0x1.ea0f7e19c094bp-3 0x1.53d55ce57bdf6p-2
+    0x1.af76b57c6f8f1p-2 0x1.038862866b29dp-1 0x1.2ce9146962ca4p-1 0x1.537a89c487f8ap-1
+    0x1.76e0931d693bap-1 0x1.96c69481c4bc5p-1 0x1.b2e04fd686a13p-1 0x1.caea9b4574cb9p-1
+    0x1.deac0259f7f42p-1 0x1.edf5518053baap-1 0x1.f8a212714bcdcp-1 0x1.fe995e70409b6p-1
+""".split()))
+_LEGENDRE_WEIGHTS = tuple(map(float.fromhex, """
+    0x1.8b6d9eaec77a3p-4 0x1.87bc776f8c6ccp-4 0x1.8062fc0f6fef5p-4 0x1.7572bdb3f6e49p-4
+    0x1.6705e18e13ecfp-4 0x1.553ee25ebebc3p-4 0x1.40483e126fd0ep-4 0x1.2854103b35e00p-4
+    0x1.0d9b9a62cac04p-4 0x1.e0bd76c924984p-5 0x1.a1c6ae961fbeep-5 0x1.5ee963a3354abp-5
+    0x1.18c5800a35609p-5 0x1.a0060a8531ff0p-6 0x1.0aa3c248696dep-6 0x1.cbf8bc743ce34p-8
+""".split()))
+
+
+def mean_and_std_err(values) -> dict:
+    """{"mean", "std_err"} of a 1-D array of per-trial values; the standard
+    error of a single trial is 0.0."""
+    n = len(values)
+    std_err = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return {"mean": float(values.mean()), "std_err": std_err}
 
 
 def forgetting_train(seq: TaskSequence, w) -> float:
@@ -88,9 +109,7 @@ def forgetting_test_mean(
         scale = float(np.sum((s.basis.T @ delta) ** 2)) / max(s.rank, 1)
         values += scale * rng.gamma(s.rank / 2, 2.0, trials)
     values /= T - 1
-    mean = float(values.mean())
-    std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return {"mean": mean, "std_err": std_err}
+    return mean_and_std_err(values)
 
 
 def expected_forgetting_closed_form(subspaces: list[Subspace], w_star) -> float:
@@ -263,8 +282,9 @@ def expected_replay_forgetting_two_tasks(
     from one child, ``rng.spawn(1)[0]``, made only when a block is a
     Bartlett factor. At d = 152, m = 10 (k2 = 1) a trial draws no normals
     and two chi variates, where G took 151 normals and memory rows m * 151.
-    Trials run in chunks of up to ``_REPLAY_CHUNK``, each drawn in one call
-    per stream, so chunking never shows in the output.
+    Trials run in chunks of ``_REPLAY_CHUNK_ENTRIES`` factor entries (4096
+    trials at k2 = 1), each drawn in one call per stream, so chunking never
+    shows in the output.
 
     Returns:
         {"mean", "std_err"} of the per-trial values.
@@ -297,7 +317,7 @@ def expected_replay_forgetting_two_tasks(
     k2 = s2.rank
     split, rows, normal_slots, chi_slots, dof = _factor_layout(k1, m, k2)
     chi_rng = rng.spawn(1)[0] if dof.size else None
-    chunk = max(1, min(_REPLAY_CHUNK, _REPLAY_CHUNK_ENTRIES // max(1, k2 * max(rows, k2))))
+    chunk = max(1, _REPLAY_CHUNK_ENTRIES // max(1, k2 * max(rows, k2)))
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
         R = np.zeros((size, rows * k2))
@@ -306,9 +326,13 @@ def expected_replay_forgetting_two_tasks(
             R[:, chi_slots] = np.sqrt(chi_rng.chisquare(dof, (size, dof.size)))
         H = (R.reshape(size * rows, k2) @ V).reshape(size, rows, V.shape[1])
         values[start : start + size] = _replay_values(H, split, SVt, C0tC0, c)
-    mean = float(values.mean())
-    std_err = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return {"mean": mean, "std_err": std_err}
+    return mean_and_std_err(values)
+
+
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The ascending Gauss-Legendre nodes and weights, mirrored from the half table."""
+    x, w = np.array(_LEGENDRE_NODES), np.array(_LEGENDRE_WEIGHTS)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def expected_replay_forgetting_rank_one(k1: int, m: int, epsilon: float) -> float:
@@ -324,8 +348,8 @@ def expected_replay_forgetting_rank_one(k1: int, m: int, epsilon: float) -> floa
 
     The integral is Gauss-Legendre in phi with rho = sin^2 phi, under the
     Beta density with its ``math.lgamma`` normaliser, on composite panels
-    with ``_QUAD_NODES`` nodes each. Panel edges sit at eps/c times powers of 2,
-    which resolves the value's peak at sin phi = eps/c for every eps, and
+    of the 32-node rule ``_legendre_rule``. Panel edges sit at eps/c times
+    powers of 2, which resolves the value's peak at sin phi = eps/c for every eps, and
     on a uniform grid of ceil(sqrt(k1)) panels, which resolves the Beta
     weight's width of about 1/sqrt(k1).
     """
@@ -344,7 +368,7 @@ def expected_replay_forgetting_rank_one(k1: int, m: int, epsilon: float) -> floa
         edges.add(peak)
         peak *= 2.0
     edges = np.array(sorted(edges))
-    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    x, w = _legendre_rule()
     half = (edges[1:] - edges[:-1])[:, None] / 2.0
     phi = edges[:-1, None] + half * (x + 1.0)
     sin, cos = np.sin(phi), np.cos(phi)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from continual_replay.errors import (
     NonFiniteInput,
     TooFewTasks,
 )
-from continual_replay.learner import augment_with_replay, run_sequence
+from continual_replay.learner import SOLVERS, augment_with_replay, run_sequence
 from continual_replay.linalg_core import Projector, Subspace, orthonormal_basis, rank_mask
 from continual_replay.metrics import (
     benign_replay_certificate,
@@ -21,6 +22,7 @@ from continual_replay.metrics import (
     expected_replay_forgetting_two_tasks,
     forgetting_test_mean,
     forgetting_train,
+    mean_and_std_err,
     replay_null_projector,
 )
 from continual_replay.oracle import claim_c2_statistics
@@ -102,7 +104,40 @@ def test_worst_case_rotation_invariance():
     assert f_rot == pytest.approx(f_base, abs=1e-9)
 
 
+@pytest.mark.parametrize("T,d,m_max", [(6, 5, 4), (10, 3, 3)])
+def test_worst_case_uniform_replay_curve_is_exact_and_non_monotone(T, d, m_max):
+    # Every m-subset of the N earlier rows, in select_replay's pool order:
+    # T-1 copies of x1, one x2 and F filler rows. Only x2 without x1 hurts,
+    # so the mean over subsets is E_m = (1 - m/N) 3a^2/(28(T-1))
+    # + [C(F, m-1) / C(N, m)] 3a^2/14 in both lanes.
+    seq = make_worst_case(T, d)
+    pool = np.vstack([task.X for task in seq.tasks[:-1]])
+    labels = np.concatenate([task.y for task in seq.tasks[:-1]])
+    N, F = (T, 0) if d == 3 else (2 * T - 2, T - 2)
+    assert pool.shape[0] == N
+    curve = []
+    for m in range(m_max + 1):
+        x2_alone = math.comb(F, m - 1) / math.comb(N, m) if m else 0.0
+        exact = (1 - m / N) * 3 * A_SQ / (28 * (T - 1)) + x2_alone * 3 * A_SQ / 14
+        for solver in SOLVERS:
+            fs = []
+            for i in map(list, itertools.combinations(range(N), m)):
+                w = run_sequence(augment_with_replay(seq, Task(pool[i], labels[i])), solver)
+                fs.append(forgetting_train(seq, w))
+            assert sum(fs) / len(fs) == pytest.approx(exact, abs=1e-12), (m, solver)
+        curve.append(exact)
+    steps = np.diff(curve)
+    assert (steps > 0).any() and (steps < 0).any(), curve
+
+
 # ----------------------------------------------------- fresh-sample variant
+
+
+def test_mean_and_std_err_is_the_one_standard_error_rule():
+    values = np.array([1.0, 2.0, 4.0, 8.0])
+    got = mean_and_std_err(values)
+    assert got == {"mean": 3.75, "std_err": float(values.std(ddof=1) / 2.0)}
+    assert mean_and_std_err(np.array([5.0])) == {"mean": 5.0, "std_err": 0.0}
 
 
 def _fresh_rows_reference(subspaces, w, w_star, trials, rng):
@@ -179,8 +214,8 @@ def test_forgetting_test_mean_checks_dimensions():
 
 
 def test_forgetting_test_mean_working_set_is_bounded():
-    # One 2000 x 40 x 40 block of normals would take 25.6 MB; pieces of
-    # _TEST_PIECE_ENTRIES normals keep the peak near 1 MiB.
+    # One 2000 x 40 x 40 block of normals would take 25.6 MB; the working set
+    # is a few trials-long arrays, one gamma draw per task.
     rng = np.random.default_rng(0)
     subs = [orthonormal_basis(rng.standard_normal((k, 41))) for k in (40, 1)]
     w, w_star = rng.standard_normal(41), rng.standard_normal(41)
@@ -526,7 +561,7 @@ def test_replay_kernel_output_independent_of_chunk_size(monkeypatch, case, m):
     s1, s2, w_star = _replay_case(case)
     rng, small_rng = np.random.default_rng(5), np.random.default_rng(5)
     res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, 100, rng)
-    monkeypatch.setattr(metrics, "_REPLAY_CHUNK", 7)
+    monkeypatch.setattr(metrics, "_REPLAY_CHUNK_ENTRIES", 14)  # 7 trials at k2 = 1
     small = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, 100, small_rng)
     assert res["mean"].hex() == small["mean"].hex()
     assert res["std_err"].hex() == small["std_err"].hex()
@@ -539,8 +574,8 @@ def test_replay_kernel_working_set_is_bounded():
     # fills two Bartlett entries, and the peak is 0.47 MiB; drawing G's
     # k1 x k2 = 151 normals a trial in 434-trial chunks peaked at 1.57 MiB,
     # and with _replay_values inlined into the chunk loop at 2.55 MiB. The
-    # 3D case peaks near 1.6 MiB, and 3D chunks without the _REPLAY_CHUNK
-    # trial cap at 3.55 MiB.
+    # 3D case peaks near 1.6 MiB, and 3D chunks of 2**16 factor entries
+    # (32768 trials) at 3.55 MiB.
     for d, eps, m, trials, bound in (
         (152, 0.4, 10, 6000, 2**20),
         (3, EPSILON_3D, 1, 10**5, 3 * 2**20),
@@ -588,9 +623,44 @@ def test_rank_one_replay_value_matches_known_values(k1, m, eps, value):
 def test_rank_one_replay_value_is_converged(monkeypatch, k1, m, eps):
     # a rule with twice as many nodes per panel agrees to rounding
     got = expected_replay_forgetting_rank_one(k1, m, eps)
-    monkeypatch.setattr(metrics, "_QUAD_NODES", 2 * metrics._QUAD_NODES)
+    x, w = np.polynomial.legendre.leggauss(64)
+    monkeypatch.setattr(metrics, "_LEGENDRE_NODES", tuple(x[32:]))
+    monkeypatch.setattr(metrics, "_LEGENDRE_WEIGHTS", tuple(w[32:]))
     finer = expected_replay_forgetting_rank_one(k1, m, eps)
     assert got == pytest.approx(finer, rel=1e-12, abs=0.0)
+
+
+def test_legendre_table_is_numpys_32_point_rule():
+    # the half table mirrors to leggauss(32) bit for bit
+    x, w = metrics._legendre_rule()
+    ref_x, ref_w = np.polynomial.legendre.leggauss(32)
+    assert x.tobytes() == ref_x.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "eps,harmful,peak",
+    [(0.4, range(1, 145), (120, 0.246609)), (0.7, range(1, 10), None), (0.71, range(0), None)],
+    ids=["eps0.4", "eps0.7", "eps0.71"],
+)
+def test_rank_one_harm_map_at_k1_151(eps, harmful, peak):
+    # replay of m rows hurts exactly where E_m exceeds the no-replay
+    # eps^2 (1 - eps^2): one interval from m = 1, and none for eps >= 0.71
+    no_replay = eps**2 * (1.0 - eps**2)
+    values = {m: expected_replay_forgetting_rank_one(151, m, eps) for m in range(1, 151)}
+    assert [m for m, v in values.items() if v > no_replay] == list(harmful)
+    if peak is not None:
+        top = max(values, key=values.get)
+        assert (top, round(values[top], 6)) == peak
+
+
+@pytest.mark.parametrize("k1", [5, 10, 20, 151])
+def test_rank_one_single_row_ratio_tends_to_inverse_beta_mean(k1):
+    # as eps -> 0 one replayed row multiplies the no-replay value by
+    # E[1 / rho] = (k1 - 2) / (k1 - 3), rho ~ Beta((k1 - 1)/2, 1/2)
+    eps = 1e-6
+    ratio = expected_replay_forgetting_rank_one(k1, 1, eps) / (eps**2 * (1.0 - eps**2))
+    assert ratio == pytest.approx((k1 - 2) / (k1 - 3), rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("eps", [0.9, 0.6, 0.3, EPSILON_3D, 1e-3, 1e-8, 1e-100])
