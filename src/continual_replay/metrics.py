@@ -146,10 +146,11 @@ def replay_null_projector(s2: Subspace, memory_rows) -> Projector:
     in this order:
 
     1. A stack of d or more rows first gets its singular values alone
-       (``compute_uv=False``). When ``rank_mask`` keeps all d of them, the
-       replay fills the whole space and the result is the exact zero
-       projector of R^d, shared and validated once per d, so no rounding
-       noise of I - U^T U reaches it and no singular vector is computed.
+       (``compute_uv=False``). When ``rank_mask`` keeps the smallest, it
+       keeps all d of them (the spectrum is descending): the replay fills
+       the whole space and the result is the exact zero projector of R^d,
+       shared and validated once per d, so no rounding noise of I - U^T U
+       reaches it and no singular vector is computed.
     2. Any other stack gets one thin SVD: the right singular vectors that
        pass ``rank_mask`` form U, and the result is I - U^T U (no
        iterative training), validated on return by ``Projector``
@@ -164,7 +165,7 @@ def replay_null_projector(s2: Subspace, memory_rows) -> Projector:
     if rows.shape[1] != d:
         raise DimensionMismatch("memory rows do not match the ambient dimension")
     stack = np.concatenate([s2.basis.T, rows])
-    if stack.shape[0] >= d and rank_mask(np.linalg.svd(stack, compute_uv=False)).all():
+    if stack.shape[0] >= d and rank_mask(np.linalg.svd(stack, compute_uv=False))[-1]:
         return _zero_projector(d)
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     U = vh[rank_mask(s)]
@@ -427,8 +428,12 @@ def expected_forgetting_trace_form(
     complement (Halmos 1969). x - x^2 takes the same value at x and 1 - x,
     and the eigenvalues 0 and 1 add nothing.
 
-    Order of work: the dimension checks, then G (a vacuous replay's zero
-    projector gives G = 0 and the value exactly 0.0), then the two
+    Order of work: the dimension checks, then the shortcut for a vacuous
+    replay: when ``replay_projector`` is the shared zero projector that
+    ``replay_null_projector`` returns for a full-span replay
+    (``_zero_projector(d)``), G = W1^T 0 W1 is exactly zero and the value
+    0.0 is returned without reading its matrix. Any other projector, a zero
+    projector built some other way included, gets G and then the two
     reductions as ndarray methods, ``G.trace()`` and ``(G * G).sum()``:
     the same sums as ``np.trace`` and ``np.sum``, so the same bits, without
     numpy's function dispatch.
@@ -442,5 +447,7 @@ def expected_forgetting_trace_form(
     else:
         if replay_projector.ambient_dim != s1.ambient_dim:
             raise DimensionMismatch("replay projector dimension mismatch")
+        if replay_projector is _zero_projector(s1.ambient_dim):
+            return 0.0
         G = W1.T @ replay_projector.matrix @ W1
     return float(G.trace() - (G * G).sum())

@@ -234,6 +234,15 @@ def oracle_projector_sandwich(
     rows give the isotropic P^. The inequality
     eps^2 ||P^ e||^2 <= ||P~ e||^2 <= ||P^ e||^2 (e = first axis) must
     hold on every trial within 1e-10; observed is the worst signed margin.
+
+    Both norms have a closed form. Write a trial's raw rows as [a | B], a
+    their first column, and let s = a^T (B B^T)^-1 a (B B^T is invertible
+    for m < d - 1). Then ||P^ e||^2 = s / (1 + s) and, with the first
+    column scaled, ||P~ e||^2 = eps^2 s / (1 + eps^2 s) exactly (a rank-one
+    update of B B^T). So the sandwich holds because x / (1 + x) is
+    increasing and eps^2 s / (1 + eps^2 s) >= eps^2 s / (1 + s). The oracle
+    keeps its SVD route (``_proj_sq_norm``), so it checks the inequality
+    independently of this identity.
     """
     if m >= d - 1:
         raise InvalidParameters("requires m < d - 1")

@@ -547,6 +547,23 @@ def test_benign_check_d6_counts(tmp_path):
     assert len(exact) == 74
 
 
+def test_benign_check_lapack_budget(monkeypatch):
+    # two bases and one op_norm per pair, and one SVD per replay subset:
+    # its spectrum alone when the replay fills R^d, else one thin SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    result = cli_harness.cmd_benign_check(d=6, trials=200, seed=42)
+    n, c = len(result.rows), result.analytic_predictions["certified_pairs"]
+    assert (n, c) == (200, 135)
+    assert len(calls) == 3 * n + 50 * c == 7350
+
+
 def _benign_check_reference_route(d, trials, seed):
     # The subset loop as it stood before one SVD per subset: np.vstack, one
     # thin SVD, the exact zero when every singular value passes, and the

@@ -453,6 +453,23 @@ def test_law_kernel_matches_exact_value(d, eps, m, trials):
     assert abs(res["mean"] - exact) <= Z_GATE * res["std_err"]
 
 
+@pytest.mark.parametrize("d,k1,m", [(20, 15, 1), (20, 15, 5), (12, 6, 2), (40, 30, 10)])
+def test_law_kernel_matches_the_rank_one_law_on_general_pairs(d, k1, m):
+    # task 2 is one direction w2 in general position. With e = ||P_1 w2|| and
+    # c0 = P_1 w2 / e, a trial's value is (c0 . w*)^2 times the rank-one
+    # value at eps = e, so the expectation is (c0 . w*)^2 E_m(k1, e)
+    rng = np.random.default_rng([14, d, k1, m])
+    s1 = orthonormal_basis(rng.standard_normal((k1, d)))
+    s2 = orthonormal_basis(rng.standard_normal((1, d)))
+    w_star = rng.standard_normal(d)
+    w2 = s2.basis[:, 0]
+    c0 = w2 - s1.basis @ (s1.basis.T @ w2)
+    e = float(np.linalg.norm(c0))
+    exact = (float(c0 @ w_star) / e) ** 2 * expected_replay_forgetting_rank_one(k1, m, e)
+    res = expected_replay_forgetting_two_tasks(s1, s2, w_star, m, 20000, rng)
+    assert abs(res["mean"] - exact) <= Z_GATE * res["std_err"]
+
+
 def test_law_kernel_keeps_the_rotation_law_on_square_frames():
     # With k1 = k2 = rank(B) the frame's H = G V is square, and its smallest
     # singular value is often small. A single inverse-root pass then loses
@@ -786,6 +803,21 @@ def test_trace_form_replay_never_increases_when_certified():
             proj = replay_null_projector(s2, rows)
             val = expected_forgetting_trace_form(s1, s2, proj)
             assert val <= base + 1e-12
+
+
+@pytest.mark.parametrize("d", range(4, 9))
+def test_full_span_zero_is_plus_zero_by_both_routes(d):
+    # the shared zero projector returns 0.0 without forming G; a zero
+    # projector validated on its own forms G = W1^T 0 W1: both give +0.0
+    rng = np.random.default_rng(d)
+    shared, separate = metrics._zero_projector(d), Projector(np.zeros((d, d)))
+    assert separate is not shared
+    for k1, k2 in itertools.product((d - 2, d - 1), repeat=2):
+        s1 = orthonormal_basis(rng.standard_normal((k1, d)))
+        s2 = orthonormal_basis(rng.standard_normal((k2, d)))
+        for proj in (shared, separate):
+            got = expected_forgetting_trace_form(s1, s2, proj)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0, (d, k1, k2)
 
 
 def test_replay_null_projector_kills_union_span():

@@ -218,6 +218,20 @@ def test_oracle_sandwich_single_row():
 # ------------------------------------------------ blocked draws, same output
 
 
+@pytest.mark.parametrize("d,m,epsilon", [(152, 10, 0.4), (31, 5, 0.3)])
+def test_sandwich_norms_follow_the_rank_one_update(d, m, epsilon):
+    # rows [a | B] (isotropic) and [eps a | B] (anisotropic), s = a^T (B B^T)^-1 a:
+    # ||P^ e||^2 = s / (1 + s) and ||P~ e||^2 = eps^2 s / (1 + eps^2 s)
+    G = np.random.default_rng(17).standard_normal((200, m, d - 1))
+    A = G.copy()
+    A[:, :, 0] *= epsilon
+    a, B = G[:, :, 0], G[:, :, 1:]
+    s = np.einsum("ni,ni->n", a, np.linalg.solve(B @ B.transpose(0, 2, 1), a[:, :, None])[:, :, 0])
+    e2s = epsilon**2 * s
+    assert np.abs(oracle._proj_sq_norm(G) - s / (1 + s)).max() <= 1e-12
+    assert np.abs(oracle._proj_sq_norm(A) - e2s / (1 + e2s)).max() <= 1e-12
+
+
 def _sandwich_reference(d, m, epsilon, trials, seed):
     # one draw and two SVDs per trial, the oracle's 1e-12 rank rule on each
     gen = np.random.default_rng(seed)
