@@ -239,7 +239,8 @@ def _check_highdim_constraints(d: int, m: int, epsilon: float) -> None:
     # Compared in log space: exp(m ln m) overflows a float from m = 144 on.
     if not math.log(d - 1) + math.log(C3) < m * math.log(m):
         raise InvalidParameters(
-            f"requires d-1 < exp(m ln m)/c3: {d - 1} >= {math.exp(m * math.log(m)) / C3}"
+            f"requires d-1 < exp(m ln m)/c3: ln(d-1) = {math.log(d - 1):.6g} >= "
+            f"m ln m - ln c3 = {m * math.log(m) - math.log(C3):.6g}"
         )
     if not (0.0 < epsilon < 0.5):
         raise InvalidParameters(f"epsilon must be in (0, 1/2), got {epsilon}")
@@ -637,6 +638,33 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     return params
 
 
+# numpy sizes an array in bytes with a signed intp, so no float64 array can
+# hold more entries than this.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def _check_sizes(params: dict) -> None:
+    """Refuse flags that size an array or list numpy cannot represent.
+
+    Counts the entries of the largest one a run sizes from its flags: 2 d^2
+    for the d x d constructions, 2 len(m) trials for the per-trial values
+    (one m where the command takes a single --m or none), the angle grid,
+    and the 2 d T entries of the worst-case rows. Only integers are
+    multiplied, so no count overflows.
+    """
+    d = max(params.get("d", 0), 0)
+    entries = max(
+        2 * d * d,
+        2 * len(params.get("m_list", [0])) * (params.get("trials") or 0),
+        params.get("grid_points", 0),
+        2 * d * params.get("T", 0),
+    )
+    if entries > _MAX_ENTRIES:
+        raise InvalidParameters(
+            f"the requested sizes need an array of more than {_MAX_ENTRIES} entries"
+        )
+
+
 def _sidecar_path(out: str) -> str:
     return (out[: -len(".csv")] if out.endswith(".csv") else out) + ".config.json"
 
@@ -676,6 +704,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
     try:
         params = _resolve_params(args)
+        _check_sizes(params)
         t0 = time.perf_counter()
         # Through the module namespace, so a wrapper installed on a cmd_*
         # attribute (a profiler, a test double) is the one that runs.
@@ -685,10 +714,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(
-            f"configuration error: not enough memory for the requested sizes: {exc}",
-            file=sys.stderr,
-        )
+        message = "configuration error: not enough memory for the requested sizes"
+        print(f"{message}: {exc}" if str(exc) else message, file=sys.stderr)
         return 2
     except ConsistencyFailure as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

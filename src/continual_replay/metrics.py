@@ -25,7 +25,6 @@ from .linalg_core import (
     Subspace,
     as_matrix,
     as_vector,
-    op_norm,
     rank_mask,
 )
 from .task_gen import TaskSequence
@@ -399,16 +398,29 @@ def benign_replay_certificate(s1: Subspace, s2: Subspace) -> dict:
     so shrinking the second null space (which is what replay does) can only
     lower the trace-form expectation over w* ~ N(0, I).
 
+    The norm is one entry of the descending singular values of
+    B = W1^T W2, the cosines of the principal angles between the spans
+    (Bjorck & Golub 1973), so no projector is formed. ||P_2 P_1|| is the
+    largest cosine between the null spaces N_1 and N_2. By Halmos's
+    two-subspace theorem (1969) both pairs have the same angles inside
+    (0, pi/2); the spans add a = dim(W_1 cap W_2) leading ones, the null
+    spaces e = dim(N_1 cap N_2), and counting dimensions gives
+    a - e = k1 + k2 - d. So the value is B's entry at index k1 + k2 - d:
+    1 when e > 0 (the index falls among the a ones, or below 0 where the
+    null spaces must meet), else the entry just after the ones, the
+    largest inner cosine or 0 (0 also past the last entry, where a task
+    fills R^d). Padding the list with d ones in front and d zeros behind
+    reads every case at index k1 + k2, with no branch on the shapes.
+
     Returns:
         {"op_norm_value": float, "certified": bool}.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("task subspaces live in different dimensions")
     d = s1.ambient_dim
-    P1 = np.eye(d) - s1.basis @ s1.basis.T
-    P2 = np.eye(d) - s2.basis @ s2.basis.T
-    value = op_norm(P2 @ P1)
-    return {"op_norm_value": value, "certified": bool(value <= SQRT2_OVER_2 + 1e-12)}
+    cosines = np.linalg.svd(s1.basis.T @ s2.basis, compute_uv=False).tolist()
+    value = ([1.0] * d + cosines + [0.0] * d)[s1.rank + s2.rank]
+    return {"op_norm_value": value, "certified": value <= SQRT2_OVER_2 + 1e-12}
 
 
 def expected_forgetting_trace_form(

@@ -25,6 +25,7 @@ from continual_replay.linalg_core import Projector, orthonormal_basis, rank_mask
 from continual_replay.metrics import (
     benign_replay_certificate,
     expected_replay_forgetting_rank_one,
+    replay_null_projector,
 )
 from continual_replay.task_gen import EPSILON_3D
 
@@ -182,6 +183,53 @@ def test_highdim_constraints_violated(d, m):
         _check_highdim_constraints(d, m, 0.4)
 
 
+def test_highdim_constraint_message_is_written_in_log_space():
+    # exp(m ln m) overflows a float from m = 144 on, so the bound is printed
+    # as its logarithm
+    with pytest.raises(InvalidParameters, match=r"ln\(d-1\) = 711\.499 >= m ln m"):
+        _check_highdim_constraints(10**309, 144, 0.4)
+
+
+HUGE = str(10**30)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worst-case", "--d", HUGE],
+        ["worst-case", "--d", "3000000000"],
+        ["worst-case", "--T", HUGE],
+        ["angle-sweep", "--d", HUGE],
+        ["angle-sweep", "--grid-points", HUGE],
+        ["benign-check", "--d", HUGE],
+        ["benign-check", "--trials", HUGE],
+        ["replay-sweep", "--d", HUGE],
+        ["replay-sweep", "--trials", HUGE],
+        ["avg-case-3d", "--trials", HUGE],
+        ["avg-case-3d", "--trials", str(2**62)],
+        ["avg-case-3d", "--trials", str(2**60)],  # 2**63 bytes, one past intp
+        ["avg-case-highdim", "--trials", HUGE],
+        ["oracles", "--trials", HUGE],
+        ["avg-case-highdim", "--d", str(10**309), "--m", "144"],
+    ],
+)
+def test_size_numpy_cannot_represent_exits_2_before_the_run(argv, monkeypatch, capsys):
+    # each of these sizes an array past intp's byte range; the check in main
+    # refuses it before the handler, so nothing is allocated
+    def never(**params):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli_harness, "cmd_" + argv[0].replace("-", "_"), never)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+
+
+def test_replay_size_sizes_no_array():
+    # m only indexes; a memory of 10**30 rows spans task 1, so the value is 0
+    assert main(["avg-case-3d", "--m", HUGE, "--trials", "1000"]) == 0
+
+
 def test_internal_assertion_exits_3(monkeypatch, capsys):
     def boom(**params):
         raise ConsistencyFailure("forced")
@@ -228,6 +276,16 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
         "configuration error: not enough memory for the requested sizes: "
         "Unable to allocate 74.5 GiB for an array\n"
     )
+
+
+def test_out_of_memory_without_a_message_prints_no_dangling_colon(monkeypatch, capsys):
+    def boom(**params):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_harness, "cmd_worst_case", boom)
+    assert main(["worst-case"]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: not enough memory for the requested sizes\n"
 
 
 def test_package_has_no_assert_statements():
@@ -548,7 +606,7 @@ def test_benign_check_d6_counts(tmp_path):
 
 
 def test_benign_check_lapack_budget(monkeypatch):
-    # two bases and one op_norm per pair, and one SVD per replay subset:
+    # two bases and one certificate spectrum per pair, and one SVD per replay subset:
     # its spectrum alone when the replay fills R^d, else one thin SVD
     calls = []
     svd = np.linalg.svd
@@ -630,6 +688,28 @@ def test_benign_check_matches_the_reference_route_bit_for_bit(d, seed):
     # both kinds of subset are reached, so neither branch is compared vacuously
     checked = sum(r["subsets_checked"] for r in rows)
     assert 0 < diagnostics["vacuous_subsets"] < checked, (d, seed)
+
+
+@pytest.mark.parametrize("d, trials", [(4, 60), (5, 50), (6, 200), (7, 40), (8, 40)])
+def test_benign_check_subset_is_vacuous_exactly_when_m_reaches_the_null_dimension(d, trials):
+    # The replay rows are generic in span W1, so [W2^T; rows] fills R^d
+    # exactly when m >= d - k2. The command's draws, replayed in its order.
+    checked = 0
+    for i in range(trials):
+        rng = cli_harness._stream(42, "benign-check", i)
+        k1 = d - int(rng.integers(1, 3))
+        k2 = d - int(rng.integers(1, 3))
+        s1 = orthonormal_basis(rng.standard_normal((k1, d)))
+        s2 = orthonormal_basis(rng.standard_normal((k2, d)))
+        if not benign_replay_certificate(s1, s2)["certified"]:
+            continue
+        for _ in range(50):
+            m = 1 + int(rng.integers(0, k1))
+            Z = rng.standard_normal((m, k1)) / math.sqrt(k1)
+            vacuous = replay_null_projector(s2, Z @ s1.basis.T).matrix.trace() < 0.5
+            assert vacuous == (m >= d - k2), (d, i, m, k2)
+            checked += 1
+    assert checked > 0
 
 
 def test_benign_check_validates_the_zero_projector_once(monkeypatch):
@@ -748,10 +828,10 @@ MIN_TRIALS = {
     "benign-check": 1,
     "oracles": 10**4,
 }
-SMALL_INT = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "6", "x"])
+SIZE_VALUES = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "6", HUGE, "x"])
 FUZZ_VALUES = {
-    "--T": SMALL_INT,
-    "--d": SMALL_INT,
+    "--T": SIZE_VALUES,
+    "--d": SIZE_VALUES,
     "--epsilon": st.sampled_from(
         ["-0.5", "0", "1e-200", "1e-155", "0.1", "0.4", "0.9", "1.5", "nan", "inf"]
     ),
@@ -759,7 +839,7 @@ FUZZ_VALUES = {
     "--seed": st.sampled_from(["-1", "0", "7", "x"]),  # worst-case, angle-sweep: unread
     "--solver": st.sampled_from(["closed", "gd", "newton"]),
     "--out": st.sampled_from(["ok.csv", "missing/x.csv"]),
-    "--grid-points": st.sampled_from(["-1", "2", "3", "7", "x"]),
+    "--grid-points": st.sampled_from(["-1", "2", "3", "7", HUGE, "x"]),
     "--trials": st.just("1"),  # drawn only for commands that do not read it
 }
 

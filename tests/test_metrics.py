@@ -13,7 +13,13 @@ from continual_replay.errors import (
     TooFewTasks,
 )
 from continual_replay.learner import SOLVERS, augment_with_replay, run_sequence
-from continual_replay.linalg_core import Projector, Subspace, orthonormal_basis, rank_mask
+from continual_replay.linalg_core import (
+    Projector,
+    Subspace,
+    op_norm,
+    orthonormal_basis,
+    rank_mask,
+)
 from continual_replay.metrics import (
     benign_replay_certificate,
     expected_forgetting_closed_form,
@@ -671,6 +677,31 @@ def test_rank_one_harm_map_at_k1_151(eps, harmful, peak):
         assert (top, round(values[top], 6)) == peak
 
 
+@pytest.mark.parametrize("k1", [151, 1000, 10000])
+def test_rank_one_curve_follows_its_large_k1_law(k1):
+    # rho concentrates at r = 1 - m/k1, so E_m is within C/k1 of
+    # f(r) = c^2 e^2 r / (c^2 r + e^2)^2; C measured 1.62-1.79 at eps = 0.4
+    eps = 0.4
+    c_sq, e_sq = 1.0 - eps**2, eps**2
+    peak = math.floor(k1 * (1.0 - e_sq / c_sq))
+    ms = {*np.linspace(1, k1 - 1, 60).round().astype(int).tolist(), peak}
+    for m in sorted(ms):
+        r = 1.0 - m / k1
+        limit = c_sq * e_sq * r / (c_sq * r + e_sq) ** 2
+        assert abs(expected_replay_forgetting_rank_one(k1, m, eps) - limit) <= 2.5 / k1, m
+
+
+@pytest.mark.parametrize("k1", [151, 1000])
+def test_rank_one_replay_never_hurts_when_e_sq_reaches_half(k1):
+    # for e^2 >= 1/2 the limit law has no harmful m, nor has any finite m here
+    eps = 0.71
+    no_replay = eps**2 * (1.0 - eps**2)
+    harmful = [
+        m for m in range(1, k1) if expected_replay_forgetting_rank_one(k1, m, eps) > no_replay
+    ]
+    assert harmful == []
+
+
 @pytest.mark.parametrize("k1", [5, 10, 20, 151])
 def test_rank_one_single_row_ratio_tends_to_inverse_beta_mean(k1):
     # as eps -> 0 one replayed row multiplies the no-replay value by
@@ -745,6 +776,37 @@ def test_certificate_at_known_angles():
     assert cert["certified"]
     s1, s2 = make_angle_pair(math.pi / 6.0, 5)
     assert not benign_replay_certificate(s1, s2)["certified"]
+
+
+def _certificate_pairs(d, k1, k2, rng):
+    """A random pair with ranks (k1, k2) in R^d, then one pair for each
+    number of shared span directions above the max(0, k1 + k2 - d) that
+    every pair shares, up to min(k1, k2)."""
+    s1 = orthonormal_basis(rng.standard_normal((k1, d)))
+    yield s1, orthonormal_basis(rng.standard_normal((k2, d)))
+    for shared in range(max(0, k1 + k2 - d) + 1, min(k1, k2) + 1):
+        inside = rng.standard_normal((shared, k1)) @ s1.basis.T
+        rows = np.vstack([inside, rng.standard_normal((k2 - shared, d))])
+        yield s1, orthonormal_basis(rows)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_certificate_matches_the_dense_route_on_every_shape(d):
+    # the spectrum of W1^T W2 against ||(I - W2 W2^T)(I - W1 W1^T)|| itself
+    rng = np.random.default_rng([35, d])
+    eye = np.eye(d)
+    for k1, k2 in itertools.product(range(d + 1), repeat=2):
+        for s1, s2 in _certificate_pairs(d, k1, k2, rng):
+            assert (s1.rank, s2.rank) == (k1, k2)
+            dense = op_norm((eye - s2.basis @ s2.basis.T) @ (eye - s1.basis @ s1.basis.T))
+            cert = benign_replay_certificate(s1, s2)
+            value = cert["op_norm_value"]
+            assert abs(value - dense) <= 1e-12, (d, k1, k2)
+            assert cert["certified"] == (dense <= metrics.SQRT2_OVER_2 + 1e-12), (d, k1, k2)
+            if k1 + k2 < d:  # the null spaces meet
+                assert value == 1.0, (d, k1, k2)
+            if d in (k1, k2):  # a null projector is zero
+                assert value == 0.0, (d, k1, k2)
 
 
 def test_avg_case_pair_is_not_certified():
